@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint staticcheck test race check cover bench bench-json bench-disabled bench-diff bench-wirepath flightdump statedump figures fuzz examples loadtest clean
+.PHONY: all build vet lint staticcheck test race check cover bench bench-json bench-disabled bench-diff bench-wirepath perfbench-smoke flightdump statedump figures fuzz examples loadtest clean
 
 all: check
 
@@ -102,6 +102,23 @@ bench-wirepath:
 bench-disabled:
 	$(GO) test -run '^$$' -bench 'Benchmark(Emit|Span|Flight|Cost|State)Disabled' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state | tee /dev/stderr | \
 		awk '/Disabled/ && ($$(NF-1) != 0 || $$(NF-3) != 0) { bad = 1 } END { exit bad }'
+
+# Smoke run of the repository benchmark (perfbench/, BENCHMARK.json): each
+# live workload for 2 s with tracing off. Fails unless the final JSON line
+# reports "correct":true with ops attempted and "failed":0, so a protocol or
+# transport change that breaks the benchmark's shape checks fails here, not
+# in the next performance comparison. Output lands in .bench_build/.
+PERFBENCH_SMOKE_WORKLOADS ?= cached-read read-miss write-fanout
+perfbench-smoke:
+	@mkdir -p .bench_build
+	@for w in $(PERFBENCH_SMOKE_WORKLOADS); do \
+		out=.bench_build/smoke-$$w.out; \
+		echo "perfbench-smoke: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 > $$out || exit 1; \
+		tail -n 1 $$out | cut -c1-100; \
+		tail -n 1 $$out | grep -q '^{"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || \
+			{ echo "perfbench-smoke: $$w did not report correct with 0 failed"; exit 1; }; \
+	done
 
 # Smoke test for the flight recorder: run the chaos scenario (partition a
 # client mid-write) and leave its dump in $(FLIGHTDUMP_DIR) for inspection,

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -52,7 +53,6 @@ type options struct {
 	objLease    time.Duration
 	volLease    time.Duration
 	useTCP      bool
-	tcpBatch    bool
 	dialTimeout time.Duration
 	wireBench   time.Duration
 	debugAddr   string
@@ -76,10 +76,9 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.objLease, "object-lease", time.Minute, "object lease (self-contained mode)")
 	fs.DurationVar(&o.volLease, "volume-lease", 5*time.Second, "volume lease (self-contained mode)")
 	fs.BoolVar(&o.useTCP, "tcp", false, "self-contained mode: use loopback TCP instead of the in-memory transport")
-	fs.BoolVar(&o.tcpBatch, "tcp-batch", true, "with TCP: batch outbound frames per connection (one kernel flush per burst)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
 	fs.DurationVar(&o.wireBench, "wire-bench", 0,
-		"instead of the RPC workload, measure raw per-connection wire throughput on loopback TCP for this long per mode, batched vs flush-per-send")
+		"instead of the RPC workload, measure raw per-connection streaming throughput and frames per flush on loopback TCP for this long")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof during the run (empty = off)")
 	fs.BoolVar(&o.audit, "audit", false, "self-contained mode: run the online consistency auditor and fail on any invariant violation")
 	fs.BoolVar(&o.trace, "trace", false, "record causal write-path spans and the per-second load timeline (summarized after the run; served at /debug/spans and /debug/load with -debug-addr)")
@@ -271,7 +270,7 @@ func execute(o options) (*result, error) {
 	var batch *transport.BatchStats
 	tcp := func() transport.TCP {
 		batch = &transport.BatchStats{}
-		return transport.TCP{DialTimeout: o.dialTimeout, Immediate: !o.tcpBatch, Stats: batch}
+		return transport.TCP{DialTimeout: o.dialTimeout, Stats: batch}
 	}
 
 	var srv *server.Server
@@ -413,6 +412,30 @@ func execute(o options) (*result, error) {
 	return res, nil
 }
 
+// writeCostReport prints the cost header and one row per message kind.
+// Bytes are split by direction in the header and in the rows, so the rows'
+// sent column sums to the header's bytes sent and their received column to
+// its bytes received.
+func writeCostReport(out io.Writer, d cost.Dump) {
+	msgs := int64(0)
+	for _, k := range d.Kinds {
+		msgs += k.Messages()
+	}
+	fmt.Fprintf(out, "cost: %d messages, %d bytes sent, %d bytes received\n",
+		msgs, d.Totals.BytesSent, d.Totals.BytesRecv)
+	for _, k := range d.Kinds {
+		line := fmt.Sprintf("cost: %-16s %8d msgs %10d bytes sent %10d bytes received",
+			k.Kind, k.Messages(), k.BytesSent, k.BytesRecv)
+		if k.Encode != nil {
+			line += fmt.Sprintf("  encode p99 %vns", k.Encode.P99Ns)
+		}
+		if k.Decode != nil {
+			line += fmt.Sprintf("  decode p99 %vns", k.Decode.P99Ns)
+		}
+		fmt.Fprintln(out, line)
+	}
+}
+
 // report prints the measurement.
 func (r *result) report(out *os.File, o options) error {
 	secs := r.elapsed.Seconds()
@@ -472,22 +495,7 @@ func (r *result) report(out *os.File, o options) error {
 	}
 	if r.cost != nil {
 		d := r.cost.Snapshot()
-		msgs := int64(0)
-		for _, k := range d.Kinds {
-			msgs += k.Messages()
-		}
-		fmt.Fprintf(out, "cost: %d messages, %d bytes sent, %d bytes received\n",
-			msgs, d.Totals.BytesSent, d.Totals.BytesRecv)
-		for _, k := range d.Kinds {
-			line := fmt.Sprintf("cost: %-16s %8d msgs %10d bytes", k.Kind, k.Messages(), k.BytesSent+k.BytesRecv)
-			if k.Encode != nil {
-				line += fmt.Sprintf("  encode p99 %vns", k.Encode.P99Ns)
-			}
-			if k.Decode != nil {
-				line += fmt.Sprintf("  decode p99 %vns", k.Decode.P99Ns)
-			}
-			fmt.Fprintln(out, line)
-		}
+		writeCostReport(out, d)
 		if o.costOut != "" {
 			raw, err := json.MarshalIndent(d, "", "  ")
 			if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,9 +10,11 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -31,6 +34,46 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("flags %v accepted", bad)
 		}
+	}
+}
+
+// TestCostReportColumnsSumToHeader pins the per-kind cost rows to the
+// header: the bytes-sent column sums to the header's bytes sent and the
+// bytes-received column to its bytes received. Traffic is lopsided per kind
+// so a row that mixed the directions could not add up.
+func TestCostReportColumnsSumToHeader(t *testing.T) {
+	acct := cost.New("bench", time.Now)
+	acct.Record(true, wire.ReqObjLease{Seq: 1, Object: "o"}, 20, time.Microsecond)
+	acct.Record(true, wire.ReqObjLease{Seq: 2, Object: "o"}, 20, time.Microsecond)
+	acct.Record(false, wire.ObjLease{Seq: 1, Object: "o"}, 300, time.Microsecond)
+	acct.Record(false, wire.Invalidate{Objects: []core.ObjectID{"o"}}, 40, time.Microsecond)
+	acct.Record(true, wire.AckInvalidate{Volume: "v", Objects: []core.ObjectID{"o"}}, 30, time.Microsecond)
+
+	var out strings.Builder
+	writeCostReport(&out, acct.Snapshot())
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var msgs, sent, recv int64
+	if _, err := fmt.Sscanf(lines[0], "cost: %d messages, %d bytes sent, %d bytes received", &msgs, &sent, &recv); err != nil {
+		t.Fatalf("header %q: %v", lines[0], err)
+	}
+	if sent != 70 || recv != 340 {
+		t.Errorf("header sent/received = %d/%d, want 70/340", sent, recv)
+	}
+	var rowSent, rowRecv int64
+	for _, line := range lines[1:] {
+		var kind string
+		var n, s, r int64
+		if _, err := fmt.Sscanf(line, "cost: %s %d msgs %d bytes sent %d bytes received", &kind, &n, &s, &r); err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		rowSent += s
+		rowRecv += r
+	}
+	if len(lines) != 5 {
+		t.Errorf("%d rows, want 4 kinds:\n%s", len(lines)-1, out.String())
+	}
+	if rowSent != sent || rowRecv != recv {
+		t.Errorf("rows sum to %d sent / %d received, header says %d / %d:\n%s", rowSent, rowRecv, sent, recv, out.String())
 	}
 }
 

@@ -13,30 +13,22 @@ import (
 
 // runWireBench measures raw per-connection delivered message throughput on
 // loopback TCP — one sender streaming lease renewals, one receiver draining
-// pooled frames — once with the batched flusher and once flush-per-send,
-// and reports the ratio. This is the transport-level demonstration of the
-// batching win: the RPC-shaped main workload cannot show it, because every
-// operation waits out a round trip and hands the batcher a single frame at
-// a time (see DESIGN.md §11.1).
+// pooled frames — and reports how many frames each kernel flush carried.
+// This is the transport-level view of the batcher: the RPC-shaped main
+// workload cannot show coalescing, because every operation waits out a
+// round trip and its reply is written inline (see DESIGN.md §11.1).
 func runWireBench(out io.Writer, d time.Duration) error {
 	msg := wire.VolLease{Seq: 43, Volume: "bench", Expire: time.Now().Add(time.Minute), Epoch: 5}
 	stats := &transport.BatchStats{}
 	batched, err := wireThroughput(transport.TCP{Stats: stats}, msg, d)
 	if err != nil {
-		return fmt.Errorf("wire-bench batched: %w", err)
-	}
-	immediate, err := wireThroughput(transport.TCP{Immediate: true}, msg, d)
-	if err != nil {
-		return fmt.Errorf("wire-bench immediate: %w", err)
+		return fmt.Errorf("wire-bench: %w", err)
 	}
 	snap := stats.Snapshot()
-	fmt.Fprintf(out, "wire: one connection, %d-byte renew frames, %v per mode\n",
+	fmt.Fprintf(out, "wire: one connection, %d-byte renew frames, %v\n",
 		wire.Size(msg)+4, d)
-	fmt.Fprintf(out, "wire: batched   %10.0f msgs/s (%0.1f frames/flush)\n",
+	fmt.Fprintf(out, "wire: batched %10.0f msgs/s (%0.1f frames/flush)\n",
 		batched, float64(snap.Frames)/float64(max(snap.Flushes, 1)))
-	fmt.Fprintf(out, "wire: immediate %10.0f msgs/s (one kernel flush per frame)\n", immediate)
-	fmt.Fprintf(out, "wire: batching delivers %.1fx the per-connection message throughput\n",
-		batched/immediate)
 	return nil
 }
 

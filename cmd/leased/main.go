@@ -92,7 +92,6 @@ type options struct {
 	profEvery   time.Duration
 	profRing    int
 	profCPU     time.Duration
-	tcpBatch    bool
 	dialTimeout time.Duration
 
 	// net overrides the transport (tests); nil means TCP.
@@ -153,7 +152,6 @@ func start(opts options) (*instance, error) {
 		batch = &transport.BatchStats{}
 		netw = transport.TCP{
 			DialTimeout: opts.dialTimeout,
-			Immediate:   !opts.tcpBatch,
 			Stats:       batch,
 		}
 	}
@@ -376,7 +374,6 @@ func run() error {
 	flag.DurationVar(&opts.profEvery, "profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	flag.IntVar(&opts.profRing, "profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	flag.DurationVar(&opts.profCPU, "profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
-	flag.BoolVar(&opts.tcpBatch, "tcp-batch", true, "batch outbound TCP frames per connection (one kernel flush per burst; exports lease_batch_*)")
 	flag.DurationVar(&opts.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
 	flag.Parse()
 

@@ -61,7 +61,6 @@ func run() error {
 	profEvery := flag.Duration("profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	profRing := flag.Int("profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	profCPU := flag.Duration("profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
-	tcpBatch := flag.Bool("tcp-batch", true, "batch outbound TCP frames per connection (one kernel flush per burst; exports lease_batch_*)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "TCP dial timeout")
 	flag.Parse()
 
@@ -127,7 +126,7 @@ func run() error {
 	// TCP conns); the wire observer counts messages from the outside. Both
 	// directions are charged here: upstream renewals and downstream grants.
 	batch := &transport.BatchStats{}
-	tcp := transport.TCP{DialTimeout: *dialTimeout, Immediate: !*tcpBatch, Stats: batch}
+	tcp := transport.TCP{DialTimeout: *dialTimeout, Stats: batch}
 	netw := transport.ObserveNetwork(acct.Network(tcp), obs.WireObserver(observer, *id, time.Now))
 	obs.RegisterBatchStats(reg, *id, batch)
 

@@ -48,11 +48,28 @@ func TestHotAllocCoversWirePath(t *testing.T) {
 		"repro/internal/transport.(*tcpConn).writeFrame",
 		"repro/internal/transport.(*tcpConn).flushLoop",
 		"repro/internal/transport.(*tcpConn).RecvFrameBuf",
+		"repro/internal/transport.(*tcpConn).received",
 		"repro/internal/wire.ReadFrameBuf",
 	} {
 		if !hot[name] {
 			t.Errorf("%s not in the hot closure", name)
 		}
+	}
+	// A reply is drained inline on the sending goroutine, so the drain must
+	// be reachable from SendFrameBuf itself, not only through flushLoop.
+	const send, drain = "repro/internal/transport.(*tcpConn).SendFrameBuf", "repro/internal/transport.(*tcpConn).drain"
+	var roots []*FuncNode
+	for _, n := range g.Nodes {
+		if n.String() == send {
+			roots = append(roots, n)
+		}
+	}
+	reached := false
+	for n := range g.Reachable(roots, ReachOpts{Call: true, Defer: true, Ref: true, OverApprox: true}) {
+		reached = reached || n.String() == drain
+	}
+	if len(roots) != 1 || !reached {
+		t.Errorf("%s not reachable from %s (%d roots found)", drain, send, len(roots))
 	}
 	// Every encoder method is on the append path; enumerate them from the
 	// graph so a newly added method can't silently escape coverage.

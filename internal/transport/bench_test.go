@@ -98,8 +98,8 @@ func runSendBench(b *testing.B, n Network, m wire.Message) {
 
 // runSendBenchParallel is runSendBench with GOMAXPROCS sender goroutines
 // sharing the one connection — the shape of a loaded lease server fanning
-// invalidations and grants to a proxy. Immediate mode serializes a kernel
-// flush per frame behind sendMu; the batcher coalesces across senders.
+// invalidations and grants to a proxy. The batcher coalesces across
+// senders.
 func runSendBenchParallel(b *testing.B, n Network, m wire.Message) {
 	cli, srv, cleanup := benchPair(b, n)
 	defer cleanup()
@@ -147,30 +147,11 @@ func BenchmarkBatchedSend(b *testing.B) {
 	}
 }
 
-// BenchmarkImmediateSend is the same workload with batching disabled (one
-// kernel flush per frame, the pre-batcher behavior). The ratio of its ns/op
-// to BenchmarkBatchedSend's is the per-connection message-throughput win
-// from coalescing.
-func BenchmarkImmediateSend(b *testing.B) {
-	for _, c := range benchSendMessages() {
-		c := c
-		b.Run(c.name, func(b *testing.B) { runSendBench(b, TCP{Immediate: true}, c.m) })
-	}
-}
-
-// BenchmarkBatchedSendParallel / BenchmarkImmediateSendParallel measure the
-// same pair under concurrent senders — the per-connection throughput ratio
-// the issue's ≥5× acceptance bar refers to.
+// BenchmarkBatchedSendParallel measures the same pair under concurrent
+// senders, which the batcher coalesces into shared flushes.
 func BenchmarkBatchedSendParallel(b *testing.B) {
 	for _, c := range benchSendMessages() {
 		c := c
 		b.Run(c.name, func(b *testing.B) { runSendBenchParallel(b, TCP{}, c.m) })
-	}
-}
-
-func BenchmarkImmediateSendParallel(b *testing.B) {
-	for _, c := range benchSendMessages() {
-		c := c
-		b.Run(c.name, func(b *testing.B) { runSendBenchParallel(b, TCP{Immediate: true}, c.m) })
 	}
 }

@@ -69,16 +69,11 @@ type FromDialer interface {
 // --- TCP ---
 
 // TCP is the production Network backed by the operating system's TCP stack.
-// The zero value batches outbound frames per connection (see tcpConn) and
-// dials with a 10-second timeout.
+// The zero value writes replies inline and batches every other outbound
+// frame per connection (see tcpConn), and dials with a 10-second timeout.
 type TCP struct {
 	// DialTimeout bounds Dial; zero means 10 seconds.
 	DialTimeout time.Duration
-	// Immediate disables outbound batching: every Send encodes, writes, and
-	// flushes inline, one syscall per frame — the pre-batching behavior.
-	// Benchmarks use it to quantify the batching win; production leaves it
-	// false.
-	Immediate bool
 	// Stats, when non-nil, accumulates batch accounting (flushes, coalesced
 	// frames, batch-size histogram) across every connection this network
 	// creates or accepts.
@@ -130,10 +125,9 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 const closeFlushTimeout = 5 * time.Second
 
 // maxQueuedFrames bounds the outbound batch queue. A sender that outruns
-// the flusher blocks here (classic backpressure, like the pre-batcher
-// flush-per-send path) instead of growing the queue without limit — which
-// would both unbound memory and starve the buffer pool, since every queued
-// frame pins a pooled Buf.
+// the drain blocks here (classic backpressure) instead of growing the queue
+// without limit — which would both unbound memory and starve the buffer
+// pool, since every queued frame pins a pooled Buf.
 const maxQueuedFrames = 1024
 
 // connBufSize sizes the per-connection buffered reader and writer. The
@@ -143,47 +137,65 @@ const maxQueuedFrames = 1024
 const connBufSize = 64 << 10
 
 // tcpConn frames messages over a TCP socket. Outbound frames are encoded
-// into pooled buffers and queued; a per-connection flusher goroutine drains
-// whatever has accumulated into one buffered write and a single kernel
-// flush per wakeup (writev-style coalescing). The flush-on-idle policy
-// bounds latency without timers: the flusher writes as soon as frames are
-// queued and flushes the moment the queue runs dry, so an isolated frame
-// pays one syscall and a burst pays one flush for the whole batch. The cost
-// is one flusher-goroutine wakeup in the latency path of an isolated frame
-// — microseconds, visible in loopback ping-pong microbenchmarks, noise
-// against real network round trips (Immediate restores inline flushing
-// where that trade is wrong).
+// into pooled buffers and queued; a drain swaps the queue out, writes every
+// frame into the buffered writer, and issues one kernel flush per pass
+// (writev-style coalescing). Who drains depends on the send:
 //
-// The queue is bounded at maxQueuedFrames: a sender that outruns the
-// flusher blocks on qRoom until a drain frees room, restoring the blocking
-// semantics of the pre-batcher flush-per-send path and keeping pooled Bufs
-// from piling up. The protocol layers above bound outstanding traffic
+//   - A reply — a send on a connection that has received a frame since its
+//     last send — is drained inline by the sending goroutine, unless a drain
+//     is already running. A request/reply exchange therefore reaches the
+//     socket without a goroutine handoff: the server's read loop writes its
+//     own replies, and a client's next request after a reply (or its
+//     invalidation ack) goes straight out.
+//   - Any other send kicks the per-connection flusher goroutine, which
+//     drains whatever has accumulated by the time it wakes. A sender that
+//     never receives — a stream of invalidations, a benchmark pump — keeps
+//     its coalescing: it pays one enqueue per frame, and the flusher one
+//     syscall per burst.
+//
+// The rule keys on a received frame, not on an idle queue: a lone streaming
+// sender finds the queue idle at almost every send, so an idle-queue rule
+// would cost it one syscall per frame and all of its coalescing. A received
+// frame marks a send that the peer is waiting on, which is where a flusher
+// wakeup sat in the latency path.
+//
+// At most one drain runs at a time: the inline writer and the flusher are
+// mutually exclusive owners via the flushing flag under qMu. Two drainers
+// that each swapped a batch could write them out of order, so FIFO order
+// rests on this exclusion. A drain owner loops until the queue is empty and
+// only then lets go, so a frame enqueued while a drain runs needs no kick.
+//
+// The queue is bounded at maxQueuedFrames: a sender that outruns the drain
+// blocks on qRoom until a drain frees room, and an inline writer's only wait
+// is the socket itself. The protocol layers above bound outstanding traffic
 // anyway (ack-gated invalidation, one RPC per client sequence), so queues
 // stay shallow in practice; see DESIGN.md §11.
 type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	// sendMu serializes the buffered writer: the flusher's drain in batched
-	// mode, every Send in immediate mode, and the final flush in Close.
-	sendMu sync.Mutex
-	bw     *bufio.Writer
+	// bw and hdr belong to the current drain owner (flushing, below); the
+	// handoff between owners happens under qMu.
+	bw  *bufio.Writer
+	hdr [4]byte // frame-header scratch (a stack array would escape into the bufio call)
 
-	immediate bool
-	stats     *BatchStats
+	stats *BatchStats
 
 	// err is the sticky write error: after the first failed write or flush
 	// every subsequent Send fails fast without touching the socket.
 	err atomic.Pointer[error]
 
-	qMu    sync.Mutex
-	qRoom  sync.Cond   // signaled when the flusher drains; senders wait here when the queue is full
-	q      []*wire.Buf // frames awaiting the flusher; owned Bufs
-	spare  []*wire.Buf // drained backing array, recycled on the next swap
-	free   []*wire.Buf // drained Bufs recycled to Send (avoids cross-goroutine pool traffic)
-	closed bool        // no new frames may enqueue; set by Close
+	// replyDue is set by every successful receive and cleared by every send:
+	// a send that finds it set is a reply and drains inline.
+	replyDue atomic.Bool
 
-	hdr [4]byte // frame-header scratch, guarded by sendMu (a stack array would escape into the bufio call)
+	qMu      sync.Mutex
+	qRoom    sync.Cond   // broadcast when a drain frees room or lets go of the queue
+	q        []*wire.Buf // frames awaiting a drain; owned Bufs
+	spare    []*wire.Buf // drained backing array, recycled on the next swap
+	free     []*wire.Buf // drained Bufs recycled to Send (avoids cross-goroutine pool traffic)
+	flushing bool        // a drain owner (inline writer or flusher) is writing the queue out
+	closed   bool        // no new frames may enqueue; set by Close
 
 	kick    chan struct{} // capacity 1: one pending kick covers any number of enqueues
 	done    chan struct{} // closed by Close; tells the flusher to drain and exit
@@ -195,21 +207,16 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn, opts TCP) *tcpConn {
 	t := &tcpConn{
-		c:         c,
-		br:        bufio.NewReaderSize(c, connBufSize),
-		bw:        bufio.NewWriterSize(c, connBufSize),
-		immediate: opts.Immediate,
-		stats:     opts.Stats,
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		flushed:   make(chan struct{}),
+		c:       c,
+		br:      bufio.NewReaderSize(c, connBufSize),
+		bw:      bufio.NewWriterSize(c, connBufSize),
+		stats:   opts.Stats,
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		flushed: make(chan struct{}),
 	}
 	t.qRoom.L = &t.qMu
-	if t.immediate {
-		close(t.flushed) // no flusher to wait for
-	} else {
-		go t.flushLoop()
-	}
+	go t.flushLoop()
 	return t
 }
 
@@ -223,22 +230,20 @@ func (t *tcpConn) sendErr() error {
 //lint:allow hotalloc — sticky-error install; the CAS succeeds at most once per connection lifetime, so the &err box is a cold one-time cost
 func (t *tcpConn) setErr(err error) { t.err.CompareAndSwap(nil, &err) }
 
-// getBuf hands out an encode buffer: in batched mode the flusher recycles
-// drained Bufs into a per-connection freelist, which keeps the hot path off
-// the global sync.Pool (whose cross-goroutine handoff — Send allocates,
-// flusher releases — is measurably slower than a mutex-guarded stack).
+// getBuf hands out an encode buffer: drains recycle written Bufs into a
+// per-connection freelist, which keeps the hot path off the global
+// sync.Pool (whose cross-goroutine handoff — Send allocates, flusher
+// releases — is measurably slower than a mutex-guarded stack).
 func (t *tcpConn) getBuf() *wire.Buf {
-	if !t.immediate {
-		t.qMu.Lock()
-		if n := len(t.free); n > 0 {
-			b := t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-			t.qMu.Unlock()
-			return b
-		}
+	t.qMu.Lock()
+	if n := len(t.free); n > 0 {
+		b := t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
 		t.qMu.Unlock()
+		return b
 	}
+	t.qMu.Unlock()
 	return wire.GetBuf()
 }
 
@@ -264,29 +269,19 @@ func (t *tcpConn) SendFrame(body []byte) error {
 
 // SendFrameBuf queues a pre-encoded frame body for transmission, taking
 // ownership of buf: the connection releases it once the bytes reach the
-// buffered writer (or the send fails). In batched mode this only enqueues
-// and kicks the flusher; in immediate mode it writes and flushes inline.
+// buffered writer (or the send fails). A reply with no drain running is
+// written and flushed before SendFrameBuf returns, and its write error is
+// returned; any other frame is left to the running drain or the flusher.
 //
 //lint:hotpath
 func (t *tcpConn) SendFrameBuf(buf *wire.Buf) error {
-	if t.immediate {
-		t.sendMu.Lock()
-		err := t.sendErr()
-		if err == nil {
-			if err = t.writeFrame(buf.B); err == nil {
-				err = t.bw.Flush()
-			}
-			if err != nil {
-				t.setErr(err)
-			}
-		}
-		t.sendMu.Unlock()
-		buf.Release()
-		return err
+	reply := t.replyDue.Load()
+	if reply {
+		t.replyDue.Store(false)
 	}
 	t.qMu.Lock()
 	for !t.closed && len(t.q) >= maxQueuedFrames && t.sendErr() == nil {
-		t.qRoom.Wait() // backpressure: the flusher signals after each drain
+		t.qRoom.Wait() // backpressure: every drain pass broadcasts
 	}
 	if t.closed {
 		t.qMu.Unlock()
@@ -299,6 +294,17 @@ func (t *tcpConn) SendFrameBuf(buf *wire.Buf) error {
 		return err
 	}
 	t.q = append(t.q, buf)
+	if t.flushing {
+		// The running drain loops until the queue is empty, so it writes
+		// this frame too.
+		t.qMu.Unlock()
+		return nil
+	}
+	if reply {
+		t.flushing = true
+		t.qMu.Unlock()
+		return t.drain()
+	}
 	t.qMu.Unlock()
 	select {
 	case t.kick <- struct{}{}:
@@ -309,7 +315,8 @@ func (t *tcpConn) SendFrameBuf(buf *wire.Buf) error {
 
 // flushLoop is the connection's batcher. It exits only when Close fires
 // done, after a final drain so queued frames are never lost (flush-then-
-// close).
+// close). A kick that finds another drain owner is dropped: that owner
+// empties the queue before it lets go.
 //
 //lint:hotpath
 func (t *tcpConn) flushLoop() {
@@ -317,8 +324,20 @@ func (t *tcpConn) flushLoop() {
 	for {
 		select {
 		case <-t.kick:
-			t.drain()
+			t.qMu.Lock()
+			own := !t.flushing
+			t.flushing = true
+			t.qMu.Unlock()
+			if own {
+				t.drain()
+			}
 		case <-t.done:
+			t.qMu.Lock()
+			for t.flushing {
+				t.qRoom.Wait() // an inline writer is mid-drain; Close's write deadline bounds it
+			}
+			t.flushing = true
+			t.qMu.Unlock()
 			t.drain()
 			return
 		}
@@ -326,17 +345,21 @@ func (t *tcpConn) flushLoop() {
 }
 
 // drain repeatedly swaps the queue out and writes every frame it finds,
-// flushing once per pass — the flush-on-idle policy. The two backing
-// arrays ping-pong between q and spare so steady-state enqueues allocate
-// nothing. On write error the remaining frames are released, not written:
-// the stream is broken mid-frame and anything after the failure point
-// could never be parsed by the peer anyway.
-func (t *tcpConn) drain() {
+// flushing once per pass — the flush-on-idle policy. The caller must have
+// set flushing under qMu; drain clears it, under the same hold that sees
+// the queue empty, and returns the connection's sticky write error. The
+// two backing arrays ping-pong between q and spare so steady-state enqueues
+// allocate nothing. On write error the remaining frames are released, not
+// written: the stream is broken mid-frame and anything after the failure
+// point could never be parsed by the peer anyway.
+func (t *tcpConn) drain() error {
 	for {
 		t.qMu.Lock()
 		if len(t.q) == 0 {
+			t.flushing = false
+			t.qRoom.Broadcast() // wake a closing flusher waiting for the queue
 			t.qMu.Unlock()
-			return
+			return t.sendErr()
 		}
 		batch := t.q
 		if t.spare != nil {
@@ -348,7 +371,6 @@ func (t *tcpConn) drain() {
 		t.qRoom.Broadcast() // queue has room again; wake blocked senders
 		t.qMu.Unlock()
 
-		t.sendMu.Lock()
 		err := t.sendErr()
 		for _, b := range batch {
 			if err == nil {
@@ -361,7 +383,6 @@ func (t *tcpConn) drain() {
 		if err != nil {
 			t.setErr(err)
 		}
-		t.sendMu.Unlock()
 		t.stats.record(len(batch))
 
 		// Recycle the drained Bufs into the freelist for getBuf, and hand the
@@ -386,7 +407,7 @@ func (t *tcpConn) drain() {
 }
 
 // writeFrame writes one length-prefixed frame into the buffered writer.
-// Callers hold sendMu (which also guards the header scratch). This is
+// Callers own the drain (which also guards the header scratch). This is
 // wire.WriteFrameBytes inlined against the concrete *bufio.Writer so the
 // header bytes never escape.
 func (t *tcpConn) writeFrame(body []byte) error {
@@ -405,8 +426,17 @@ func (t *tcpConn) writeFrame(body []byte) error {
 	return nil
 }
 
+// received marks the connection as owing a reply: the next send drains
+// inline (see tcpConn). The load skips the store — and its cache-line
+// write — while a stream of frames arrives with no send in between.
+func (t *tcpConn) received() {
+	if !t.replyDue.Load() {
+		t.replyDue.Store(true)
+	}
+}
+
 func (t *tcpConn) Recv() (wire.Message, error) {
-	buf, err := wire.ReadFrameBuf(t.br)
+	buf, err := t.RecvFrameBuf()
 	if err != nil {
 		return nil, err
 	}
@@ -418,18 +448,31 @@ func (t *tcpConn) Recv() (wire.Message, error) {
 // RecvFrame returns the next raw frame body without decoding it (see
 // FrameReceiver). The body is freshly allocated; hot paths use
 // RecvFrameBuf.
-func (t *tcpConn) RecvFrame() ([]byte, error) { return wire.ReadFrameBytes(t.br) }
+func (t *tcpConn) RecvFrame() ([]byte, error) {
+	body, err := wire.ReadFrameBytes(t.br)
+	if err == nil {
+		t.received()
+	}
+	return body, err
+}
 
 // RecvFrameBuf returns the next raw frame body in a pooled buffer (see
 // FrameBufReceiver). The caller owns the Buf and must Release it.
 //
 //lint:hotpath
-func (t *tcpConn) RecvFrameBuf() (*wire.Buf, error) { return wire.ReadFrameBuf(t.br) }
+func (t *tcpConn) RecvFrameBuf() (*wire.Buf, error) {
+	buf, err := wire.ReadFrameBuf(t.br)
+	if err == nil {
+		t.received()
+	}
+	return buf, err
+}
 
 // Close flushes queued frames, then tears the connection down: frames
 // accepted by Send are on the wire before the socket closes. A write
-// deadline bounds the final drain so a wedged peer cannot block Close;
-// pending Recv calls unblock when the socket closes.
+// deadline bounds the final drain — and an inline writer already blocked on
+// the socket — so a wedged peer cannot block Close; pending Recv calls
+// unblock when the socket closes.
 func (t *tcpConn) Close() error {
 	t.closeOnce.Do(func() {
 		t.qMu.Lock()
@@ -439,16 +482,7 @@ func (t *tcpConn) Close() error {
 		//lint:allow clockcheck — socket I/O deadline for the close-flush, not lease time
 		t.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 		close(t.done)
-		<-t.flushed // batched mode: the flusher's final drain has completed
-		if t.immediate {
-			t.sendMu.Lock()
-			if t.sendErr() == nil {
-				if err := t.bw.Flush(); err != nil {
-					t.setErr(err)
-				}
-			}
-			t.sendMu.Unlock()
-		}
+		<-t.flushed // the flusher's final drain has completed
 		t.closeErr = t.c.Close()
 		t.qMu.Lock()
 		for i, b := range t.free { // return recycled Bufs to the shared pool
