@@ -19,6 +19,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
@@ -206,14 +207,17 @@ func BenchmarkServerCachedRead(b *testing.B) {
 
 // BenchmarkServerCachedReadObserved is BenchmarkServerCachedRead with the
 // full observability stack attached — metrics registry, event tracing into
-// a counting sink, and per-kind wire counters — so the delta against the
+// a counting sink, and the transport tap charging every frame to a cost
+// accountant that also emits it as a msg event — so the delta against the
 // bare benchmark is the live cost of instrumentation (the bare run pays
 // only nil checks; see internal/obs BenchmarkEmitDisabled).
 func BenchmarkServerCachedReadObserved(b *testing.B) {
 	reg := obs.NewRegistry()
 	observer := &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(obs.NewCountSink())}
-	net := transport.ObserveNetwork(transport.NewMemory(),
-		obs.WireObserver(observer, "srv", time.Now))
+	acct := cost.New("srv", observer, time.Now)
+	acct.Register(reg)
+	net := transport.NewMemory()
+	net.Tap = acct
 	srv, err := server.New(server.Config{
 		Name: "srv", Addr: "srv:1", Net: net, Obs: observer,
 		Table: core.Config{ObjectLease: time.Hour, VolumeLease: time.Hour, Mode: core.ModeEager},

@@ -24,13 +24,15 @@
 // when several rules match, the last one wins.
 //
 // Exit status: 0 when clean, 1 on usage or unreadable input, 2 when at
-// least one benchmark regressed — so CI can distinguish "broken gate" from
-// "perf regression".
+// least one benchmark regressed or when no benchmark is common to both
+// snapshots (a gate that compared nothing has shown nothing) — so CI can
+// distinguish "broken gate" from "perf regression".
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -193,41 +195,54 @@ func compare(base, cand benchfmt.Snapshot, def thresholds, rules []rule, minNs f
 		fmt.Fprintf(out, "REGRESSION %s %s: %.4g -> %.4g (%+.1f%%, limit +%.1f%%)\n",
 			f.key, f.dim, f.base, f.cand, f.pct, f.lim)
 	}
-	if len(regressions) == 0 {
+	if compared == 0 {
+		fmt.Fprintf(out, "NO OVERLAP: no benchmark is common to both snapshots\n")
+	} else if len(regressions) == 0 {
 		fmt.Fprintf(out, "  no regressions\n")
 	}
 	return regressions, compared
 }
 
 func main() {
-	def := thresholds{}
-	flag.Float64Var(&def.nsPct, "ns-threshold", 25, "max ns/op growth in percent")
-	flag.Float64Var(&def.allocPct, "alloc-threshold", 0, "max allocs/op growth in percent")
-	flag.Float64Var(&def.bytesPct, "bytes-threshold", 10, "max B/op growth in percent")
-	minNs := flag.Float64("min-ns", 10, "skip the ns/op check when the baseline is below this many ns (noise floor)")
-	rules := &ruleFlag{def: &def}
-	flag.Var(rules, "rule", "per-benchmark override 'NAME=ns:PCT[,alloc:PCT][,bytes:PCT]' (substring match, repeatable)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] BASELINE.json CANDIDATE.json")
-		os.Exit(1)
+// run is main with its arguments, output streams, and exit status made
+// explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	def := thresholds{}
+	fs.Float64Var(&def.nsPct, "ns-threshold", 25, "max ns/op growth in percent")
+	fs.Float64Var(&def.allocPct, "alloc-threshold", 0, "max allocs/op growth in percent")
+	fs.Float64Var(&def.bytesPct, "bytes-threshold", 10, "max B/op growth in percent")
+	minNs := fs.Float64("min-ns", 10, "skip the ns/op check when the baseline is below this many ns (noise floor)")
+	rules := &ruleFlag{def: &def}
+	fs.Var(rules, "rule", "per-benchmark override 'NAME=ns:PCT[,alloc:PCT][,bytes:PCT]' (substring match, repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return 1
 	}
-	base, err := benchfmt.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [flags] BASELINE.json CANDIDATE.json")
+		return 1
 	}
-	cand, err := benchfmt.ReadFile(flag.Arg(1))
+	base, err := benchfmt.ReadFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
+	}
+	cand, err := benchfmt.ReadFile(fs.Arg(1))
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
 	}
 
 	var out strings.Builder
-	regressions, _ := compare(base, cand, def, rules.rules, *minNs, &out)
-	os.Stdout.WriteString(out.String())
-	if len(regressions) > 0 {
-		os.Exit(2)
+	regressions, compared := compare(base, cand, def, rules.rules, *minNs, &out)
+	io.WriteString(stdout, out.String())
+	if len(regressions) > 0 || compared == 0 {
+		return 2
 	}
+	return 0
 }

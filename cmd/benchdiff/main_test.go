@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -160,5 +162,54 @@ func TestCompareAgainstSeedBaseline(t *testing.T) {
 	}
 	if n != len(base.Benchmarks) {
 		t.Errorf("compared %d of %d", n, len(base.Benchmarks))
+	}
+}
+
+// writeSnap writes s as a snapshot file under dir and returns its path.
+func writeSnap(t *testing.T, dir, name string, s benchfmt.Snapshot) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := benchfmt.Write(f, s); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunExitStatus: clean exits 0, a regression exits 2, and so does a
+// comparison with no benchmark common to both snapshots — a gate that
+// compared nothing must not pass.
+func TestRunExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	base := writeSnap(t, dir, "base.json", snap(rec("BenchmarkA", 100, 0, 0)))
+	for _, tc := range []struct {
+		name string
+		cand benchfmt.Snapshot
+		code int
+		out  string
+	}{
+		{"clean", snap(rec("BenchmarkA", 100, 0, 0)), 0, "no regressions"},
+		{"regression", snap(rec("BenchmarkA", 100, 0, 1)), 2, "REGRESSION p BenchmarkA allocs/op"},
+		{"no overlap", snap(rec("BenchmarkB", 100, 0, 0)), 2, "NO OVERLAP"},
+		{"empty candidate", snap(), 2, "NO OVERLAP"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cand := writeSnap(t, dir, strings.ReplaceAll(tc.name, " ", "-")+".json", tc.cand)
+			var stdout, stderr strings.Builder
+			if code := run([]string{base, cand}, &stdout, &stderr); code != tc.code {
+				t.Errorf("exit %d, want %d\n%s%s", code, tc.code, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stdout.String(), tc.out) {
+				t.Errorf("output lacks %q:\n%s", tc.out, stdout.String())
+			}
+		})
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{base}, &stdout, &stderr); code != 1 {
+		t.Errorf("one argument: exit %d, want 1", code)
 	}
 }

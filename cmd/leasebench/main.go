@@ -60,7 +60,6 @@ type options struct {
 	trace       bool
 	spanSample  int
 	flightDir   string
-	cost        bool
 	costOut     string
 }
 
@@ -85,7 +84,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.spanSample, "span-sample", 1, "with -trace, record 1 in N traces")
 	fs.StringVar(&o.flightDir, "flight-dir", "flight-dumps",
 		"with -audit, write a flight recorder dump here when a violation is recorded ($FLIGHT_DUMP_DIR overrides)")
-	fs.BoolVar(&o.cost, "cost", true, "account per-message-kind wire-path cost and report it after the run")
 	fs.StringVar(&o.costOut, "cost-out", "", "write the final cost dump (the /debug/cost JSON) to this file; `figures -cost` renders it")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -129,11 +127,11 @@ type result struct {
 	localReads            int64
 	serverReads           int64
 	invalidations         int64
-	aud                   *audit.Auditor        // nil unless -audit
-	spans                 *obs.SpanRecorder     // nil unless -trace
-	load                  *loadtl.Timeline      // nil unless -trace
-	health                *health.Engine        // nil unless -audit
-	cost                  *cost.Accounting      // nil unless -cost
+	aud                   *audit.Auditor    // nil unless -audit
+	spans                 *obs.SpanRecorder // nil unless -trace
+	load                  *loadtl.Timeline  // nil unless -trace
+	health                *health.Engine    // nil unless -audit
+	cost                  *cost.Accounting
 	batch                 *transport.BatchStats // nil unless TCP
 }
 
@@ -259,18 +257,20 @@ func execute(o options) (*result, error) {
 		}
 	}
 
-	var acct *cost.Accounting
-	if o.cost {
-		acct = cost.New("bench", time.Now)
-		if observer != nil {
-			acct.Register(observer.Metrics)
-		}
+	// Every frame is charged to acct by the connection that carries it, and
+	// emitted as a msg event while the observer traces (the load timeline
+	// counts those). In self-contained mode server and clients share the
+	// process, so each message is charged twice: once sent, once received
+	// (KindStat.Messages() takes the max of the two).
+	acct := cost.New("bench", observer, time.Now)
+	if observer != nil {
+		acct.Register(observer.Metrics)
 	}
 
 	var batch *transport.BatchStats
 	tcp := func() transport.TCP {
 		batch = &transport.BatchStats{}
-		return transport.TCP{DialTimeout: o.dialTimeout, Stats: batch}
+		return transport.TCP{DialTimeout: o.dialTimeout, Stats: batch, Tap: acct}
 	}
 
 	var srv *server.Server
@@ -281,18 +281,9 @@ func execute(o options) (*result, error) {
 			addr = "127.0.0.1:0"
 		} else {
 			mem := transport.NewMemory()
+			mem.Tap = acct
 			net = mem
 			addr = "bench-origin:1"
-		}
-		// Cost accounting wraps the raw network innermost; server and clients
-		// share the process, so each message is accounted twice: once sent,
-		// once received (KindStat.Messages() takes the max of the two).
-		net = acct.Network(net)
-		if observer != nil {
-			// Tap the wire so the load timeline sees every message. Server
-			// and clients share the process (and the observer), so each
-			// message is counted twice: once sent, once received.
-			net = transport.ObserveNetwork(net, obs.WireObserver(observer, "bench", time.Now))
 		}
 		var err error
 		srv, err = server.New(server.Config{
@@ -324,10 +315,7 @@ func execute(o options) (*result, error) {
 			}
 		}
 	} else {
-		net = acct.Network(tcp())
-		if observer != nil {
-			net = transport.ObserveNetwork(net, obs.WireObserver(observer, "bench", time.Now))
-		}
+		net = tcp()
 	}
 
 	res := &result{
@@ -493,19 +481,17 @@ func (r *result) report(out *os.File, o options) error {
 		fmt.Fprintf(out, "load: peak %d msg/s, mean %.1f msg/s, burst ratio %.1f (%d busy / %d idle seconds)\n",
 			b.Peak, b.Mean, b.Ratio, b.BusySeconds, b.IdleSeconds)
 	}
-	if r.cost != nil {
-		d := r.cost.Snapshot()
-		writeCostReport(out, d)
-		if o.costOut != "" {
-			raw, err := json.MarshalIndent(d, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(o.costOut, append(raw, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "cost: dump written to %s\n", o.costOut)
+	d := r.cost.Snapshot()
+	writeCostReport(out, d)
+	if o.costOut != "" {
+		raw, err := json.MarshalIndent(d, "", "  ")
+		if err != nil {
+			return err
 		}
+		if err := os.WriteFile(o.costOut, append(raw, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "cost: dump written to %s\n", o.costOut)
 	}
 	if r.batch != nil {
 		if b := r.batch.Snapshot(); b.Flushes > 0 {

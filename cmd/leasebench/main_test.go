@@ -42,7 +42,7 @@ func TestParseFlags(t *testing.T) {
 // bytes-received column to its bytes received. Traffic is lopsided per kind
 // so a row that mixed the directions could not add up.
 func TestCostReportColumnsSumToHeader(t *testing.T) {
-	acct := cost.New("bench", time.Now)
+	acct := cost.New("bench", nil, time.Now)
 	acct.Record(true, wire.ReqObjLease{Seq: 1, Object: "o"}, 20, time.Microsecond)
 	acct.Record(true, wire.ReqObjLease{Seq: 2, Object: "o"}, 20, time.Microsecond)
 	acct.Record(false, wire.ObjLease{Seq: 1, Object: "o"}, 300, time.Microsecond)

@@ -31,6 +31,7 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		debugAddr:  "127.0.0.1:0",
 		traceLen:   128,
 		slowWrite:  time.Nanosecond, // every blocking write counts as slow
+		cost:       true,            // the flag's default: the transport tap
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		`lease_server_writes_total{server="itest"}`,
 		`lease_write_ack_wait_seconds_count{server="itest"`,
 		`lease_wire_messages_total`,
-		`lease_transport_messages_total`,
+		`lease_cost_frames_total{node="itest",kind="ReqObjLease",dir="recv"}`,
 	}
 	for _, s := range wantSeries {
 		if !strings.Contains(prom, s) {
@@ -134,7 +135,7 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 
 	// Protocol events made it to the ring.
 	events := httpGet(t, base+"/debug/events")
-	for _, ev := range []string{"obj-lease-grant", "vol-lease-grant", "inval-sent", "inval-acked", "write-unblocked"} {
+	for _, ev := range []string{"obj-lease-grant", "vol-lease-grant", "inval-sent", "inval-acked", "write-unblocked", "msg-sent", "msg-recv"} {
 		if !strings.Contains(events, ev) {
 			t.Errorf("/debug/events missing %q event", ev)
 		}
@@ -182,6 +183,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		spans:      256,
 		spanSample: 1,
 		loadWindow: 60,
+		cost:       true, // the tap emits the msg events /debug/load counts
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +242,9 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	var dump struct {
 		Node    string `json:"node"`
 		Seconds []struct {
-			Msgs   int64 `json:"msgs"`
-			Writes int64 `json:"writes"`
+			Msgs   int64            `json:"msgs"`
+			ByKind map[string]int64 `json:"by_kind"`
+			Writes int64            `json:"writes"`
 		} `json:"seconds"`
 		Burst struct {
 			Peak int64 `json:"peak_mps"`
@@ -253,12 +256,21 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	if dump.Node != "ttest" || len(dump.Seconds) == 0 || dump.Burst.Peak == 0 {
 		t.Errorf("/debug/load dump = %+v", dump)
 	}
-	var writes int64
+	var writes, msgs, kindMsgs int64
 	for _, s := range dump.Seconds {
 		writes += s.Writes
+		msgs += s.Msgs
+		for _, n := range s.ByKind {
+			kindMsgs += n
+		}
 	}
 	if writes < 1 {
 		t.Errorf("load timeline recorded %d writes, want >= 1", writes)
+	}
+	// The tap's msg events feed msgs and by_kind, and by_kind partitions
+	// msgs.
+	if msgs == 0 || kindMsgs != msgs {
+		t.Errorf("load timeline msgs = %d, by_kind sums to %d; want equal and nonzero", msgs, kindMsgs)
 	}
 
 	// The lease_load_* gauges ride the normal metrics endpoints.

@@ -17,14 +17,17 @@
 // and ?since=). -spans enables causal write-path tracing (spans land in
 // /debug/spans; -span-sample keeps 1 in N traces), and -load-window keeps a
 // per-second load timeline served at /debug/load and exported as the
-// lease_load_* gauges. -cost (default on) accounts per-message-kind frames,
-// bytes, and encode/decode time at the transport boundary (lease_cost_*
-// metrics, /debug/cost with ?kind= and ?volume= filters), and
-// -profile-interval samples heap/goroutine (optionally CPU) profiles into a
-// flight-recorder-style ring served at /debug/profile/ring. /debug/leases
-// serves the live lease-table snapshot (who holds what until when, with
-// ?volume=/?client=/?expiring= filters) and the lease_state_* gauges
-// summarize it; flight dumps freeze the same snapshot.
+// lease_load_* gauges. -cost (default on) taps every TCP connection: each
+// frame is charged once, with its kind, bytes, and encode/decode time
+// (lease_cost_* metrics, /debug/cost with ?kind= and ?volume= filters), and
+// emitted as the msg-sent/msg-recv event that /debug/events, the
+// /debug/load by_kind counts, and flight dumps show. -cost=false turns the
+// tap off, and those events with it. -profile-interval samples
+// heap/goroutine (optionally CPU) profiles into a flight-recorder-style ring
+// served at /debug/profile/ring. /debug/leases serves the live lease-table
+// snapshot (who holds what until when, with ?volume=/?client=/?expiring=
+// filters) and the lease_state_* gauges summarize it; flight dumps freeze
+// the same snapshot.
 //
 // -audit attaches the online consistency auditor (internal/audit): every
 // protocol event also feeds a shadow model of the lease state, violations
@@ -93,9 +96,6 @@ type options struct {
 	profRing    int
 	profCPU     time.Duration
 	dialTimeout time.Duration
-
-	// net overrides the transport (tests); nil means TCP.
-	net transport.Network
 }
 
 // instance is a started daemon: the lease server plus its observability
@@ -144,16 +144,6 @@ func start(opts options) (*instance, error) {
 		tableCfg.Mode = core.ModeDelayed
 	default:
 		return nil, fmt.Errorf("unknown mode %q", opts.mode)
-	}
-
-	var batch *transport.BatchStats
-	netw := opts.net
-	if netw == nil {
-		batch = &transport.BatchStats{}
-		netw = transport.TCP{
-			DialTimeout: opts.dialTimeout,
-			Stats:       batch,
-		}
 	}
 
 	in := &instance{
@@ -251,7 +241,7 @@ func start(opts options) (*instance, error) {
 	}
 	obs.RegisterRecorder(in.reg, in.rec)
 	if opts.cost {
-		in.cost = cost.New(opts.volume, time.Now)
+		in.cost = cost.New(opts.volume, observer, time.Now)
 		in.cost.Register(in.reg)
 	}
 	if opts.profEvery > 0 {
@@ -266,16 +256,16 @@ func start(opts options) (*instance, error) {
 		// Anomaly dumps freeze the profile ring alongside events and spans.
 		in.flight.AttachProfiles(in.prof)
 	}
-	// Cost accounting wraps the raw network INNERMOST so TCP conns still
-	// expose their frame-level capabilities (timed encode/decode); the wire
-	// observer counts messages from the outside.
-	netw = transport.ObserveNetwork(in.cost.Network(netw), obs.WireObserver(observer, opts.volume, time.Now))
+	// Every frame is charged to the cost accountant by the connection that
+	// carries it; with -cost=false the transport is untapped and no
+	// msg-sent/msg-recv events are emitted.
+	batch := &transport.BatchStats{}
 	obs.RegisterBatchStats(in.reg, opts.volume, batch)
 
 	cfg := server.Config{
 		Name:               opts.volume,
 		Addr:               opts.addr,
-		Net:                netw,
+		Net:                transport.TCP{DialTimeout: opts.dialTimeout, Stats: batch, Tap: in.cost},
 		Table:              tableCfg,
 		MsgTimeout:         opts.msgTimeout,
 		StateDir:           opts.stateDir,
@@ -370,7 +360,7 @@ func run() error {
 	flag.IntVar(&opts.flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder off)")
 	flag.DurationVar(&opts.flightWin, "flight-window", time.Minute, "trailing window a flight dump covers")
 	flag.StringVar(&opts.flightDir, "flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
-	flag.BoolVar(&opts.cost, "cost", true, "account per-kind wire-path cost (lease_cost_* metrics and /debug/cost)")
+	flag.BoolVar(&opts.cost, "cost", true, "tap every connection: per-kind wire-path cost (lease_cost_* metrics, /debug/cost) and msg-sent/msg-recv events")
 	flag.DurationVar(&opts.profEvery, "profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	flag.IntVar(&opts.profRing, "profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	flag.DurationVar(&opts.profCPU, "profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")

@@ -57,7 +57,6 @@ func run() error {
 	flight := flag.Int("flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder off)")
 	flightWin := flag.Duration("flight-window", time.Minute, "trailing window a flight dump covers")
 	flightDir := flag.String("flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
-	costOn := flag.Bool("cost", true, "account per-kind wire-path cost (lease_cost_* metrics and /debug/cost)")
 	profEvery := flag.Duration("profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	profRing := flag.Int("profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	profCPU := flag.Duration("profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
@@ -105,11 +104,8 @@ func run() error {
 		observer.Spans = spanRec
 		flightRec.AttachSpans(spanRec)
 	}
-	var acct *cost.Accounting
-	if *costOn {
-		acct = cost.New(*id, time.Now)
-		acct.Register(reg)
-	}
+	acct := cost.New(*id, observer, time.Now)
+	acct.Register(reg)
 	var prof *cost.Profiler
 	if *profEvery > 0 {
 		prof = cost.NewProfiler(cost.ProfilerOptions{
@@ -122,12 +118,10 @@ func run() error {
 		})
 		flightRec.AttachProfiles(prof)
 	}
-	// Cost accounting wraps the raw network INNERMOST (frame-level timing on
-	// TCP conns); the wire observer counts messages from the outside. Both
-	// directions are charged here: upstream renewals and downstream grants.
+	// Every connection, upstream and downstream, charges its frames to the
+	// cost accountant, which also emits them as msg-sent/msg-recv events.
 	batch := &transport.BatchStats{}
-	tcp := transport.TCP{DialTimeout: *dialTimeout, Stats: batch}
-	netw := transport.ObserveNetwork(acct.Network(tcp), obs.WireObserver(observer, *id, time.Now))
+	netw := transport.TCP{DialTimeout: *dialTimeout, Stats: batch, Tap: acct}
 	obs.RegisterBatchStats(reg, *id, batch)
 
 	cfg := proxy.Config{
@@ -175,9 +169,7 @@ func run() error {
 				obs.Route{Path: "/debug/health", Handler: health.Handler(engine)},
 				obs.Route{Path: "/debug/flightrecorder", Handler: health.FlightHandler(engine)})
 		}
-		if acct != nil {
-			routes = append(routes, obs.Route{Path: "/debug/cost", Handler: cost.Handler(acct)})
-		}
+		routes = append(routes, obs.Route{Path: "/debug/cost", Handler: cost.Handler(acct)})
 		if prof != nil {
 			routes = append(routes, obs.Route{Path: "/debug/profile/ring", Handler: cost.RingHandler(prof)})
 		}

@@ -74,6 +74,10 @@ func CaptureMeta() *Meta {
 
 // ParseLine parses one benchmark result line: the name, the iteration
 // count, then (value, unit) pairs such as "6264065 ns/op" or "40474 msgs".
+// The "-<procs>" suffix that `go test` appends to the name when GOMAXPROCS
+// is above 1 is stripped (Meta records GOMAXPROCS), so snapshots taken at
+// different GOMAXPROCS share their keys. A sub-benchmark name must
+// therefore not itself end in "-<digits>".
 func ParseLine(pkg, line string) (Record, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -83,7 +87,7 @@ func ParseLine(pkg, line string) (Record, bool) {
 	if err != nil {
 		return Record{}, false
 	}
-	r := Record{Package: pkg, Name: fields[0], Iterations: iters}
+	r := Record{Package: pkg, Name: stripProcs(fields[0]), Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -104,6 +108,20 @@ func ParseLine(pkg, line string) (Record, bool) {
 		}
 	}
 	return r, true
+}
+
+// stripProcs drops a trailing "-<digits>" from a benchmark name.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // ParseTestOutput reads `go test -bench` text output, tracking the

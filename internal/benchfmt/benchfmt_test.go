@@ -35,6 +35,26 @@ func TestParseLineCustomMetrics(t *testing.T) {
 	}
 }
 
+func TestParseLineStripsProcsSuffix(t *testing.T) {
+	for _, tc := range []struct{ line, name string }{
+		{"BenchmarkBatchedSend/grant-4 \t 1000\t 230 ns/op", "BenchmarkBatchedSend/grant"},
+		{"BenchmarkCostDisabled-2 \t 1000\t 0.13 ns/op", "BenchmarkCostDisabled"},
+		{"BenchmarkCostDisabled-16 \t 1000\t 0.13 ns/op", "BenchmarkCostDisabled"},
+		{"BenchmarkCostDisabled \t 1000\t 0.13 ns/op", "BenchmarkCostDisabled"},
+		{"BenchmarkWirePath/encode/Hello \t 1000\t 120 ns/op", "BenchmarkWirePath/encode/Hello"},
+		{"BenchmarkE2E/read-miss \t 1000\t 120 ns/op", "BenchmarkE2E/read-miss"},
+		{"BenchmarkE2E/read-miss-2 \t 1000\t 120 ns/op", "BenchmarkE2E/read-miss"},
+	} {
+		r, ok := ParseLine("p", tc.line)
+		if !ok {
+			t.Fatalf("line %q not recognized", tc.line)
+		}
+		if r.Name != tc.name {
+			t.Errorf("%q: name %q, want %q", tc.line, r.Name, tc.name)
+		}
+	}
+}
+
 func TestParseLineRejectsNonBenchLines(t *testing.T) {
 	for _, line := range []string{
 		"goos: linux",

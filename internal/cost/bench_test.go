@@ -28,7 +28,7 @@ func BenchmarkCostDisabled(b *testing.B) {
 // atomic adds, the volume lookup (this message has none), and the codec
 // histogram.
 func BenchmarkCostRecord(b *testing.B) {
-	a := New("srv", nil)
+	a := New("srv", nil, nil)
 	var m wire.Message = wire.ReqObjLease{Seq: 1, Object: "vol-3/obj-100", Version: 7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +39,7 @@ func BenchmarkCostRecord(b *testing.B) {
 // BenchmarkCostRecordVolume measures the enabled charge for a
 // volume-carrying kind: everything above plus the sync.Map hit.
 func BenchmarkCostRecordVolume(b *testing.B) {
-	a := New("srv", nil)
+	a := New("srv", nil, nil)
 	var m wire.Message = wire.VolLease{Seq: 1, Volume: "vol-3", Epoch: 5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +50,7 @@ func BenchmarkCostRecordVolume(b *testing.B) {
 // BenchmarkCostConnFrame measures the full transport-boundary path: the
 // per-connection accountant charging itself plus the parent tables.
 func BenchmarkCostConnFrame(b *testing.B) {
-	a := New("srv", nil)
+	a := New("srv", nil, nil)
 	fa := a.AccountConn("srv:1", "client-1:0")
 	var m wire.Message = wire.Invalidate{Seq: 0, Objects: nil}
 	b.ReportAllocs()

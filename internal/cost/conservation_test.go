@@ -1,14 +1,14 @@
 package cost_test
 
 // The accounting conservation test (run under -race by `make race` and CI):
-// a real server and concurrent clients over the in-memory transport, with
-// the consistency auditor attached, cost accounting wrapped innermost and
-// the obs wire observer outside it. After the run, the books must balance:
-// the per-kind frame/byte tallies sum exactly to the transport totals, the
-// per-connection tallies sum to the same totals, the per-volume tallies
-// never exceed them, and the cost layer's per-kind counts agree with the
-// independently recorded lease_transport_messages_total counters — two
-// separate instrumentation paths over the same connections.
+// a real server and concurrent clients over the in-memory transport and
+// over batched TCP, with the consistency auditor attached and every
+// connection tapped by one cost accountant. After the run, the books must
+// balance: the tap sees every frame the transport delivers — both ends of
+// every connection are tapped, so per kind, frames sent equal frames
+// received — the per-kind and per-connection tallies sum exactly to the
+// totals, the per-volume tallies never exceed them, and the load timeline
+// counted exactly the frames the tap emitted as msg events.
 
 import (
 	"fmt"
@@ -20,6 +20,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -28,8 +29,10 @@ import (
 
 func TestAccountingConservation(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
-		runConservation(t, func() (transport.Network, string, *transport.BatchStats) {
-			return transport.NewMemory(), "srv:1", nil
+		runConservation(t, func(tap transport.ConnAccounter) (transport.Network, string, *transport.BatchStats) {
+			mem := transport.NewMemory()
+			mem.Tap = tap
+			return mem, "srv:1", nil
 		})
 	})
 	// The same books must balance when every frame crosses the batched TCP
@@ -39,13 +42,13 @@ func TestAccountingConservation(t *testing.T) {
 	// layer's sent-frame total.
 	t.Run("tcp-batched", func(t *testing.T) {
 		stats := &transport.BatchStats{}
-		runConservation(t, func() (transport.Network, string, *transport.BatchStats) {
-			return transport.TCP{Stats: stats}, "127.0.0.1:0", stats
+		runConservation(t, func(tap transport.ConnAccounter) (transport.Network, string, *transport.BatchStats) {
+			return transport.TCP{Stats: stats, Tap: tap}, "127.0.0.1:0", stats
 		})
 	})
 }
 
-func runConservation(t *testing.T, newNet func() (transport.Network, string, *transport.BatchStats)) {
+func runConservation(t *testing.T, newNet func(tap transport.ConnAccounter) (transport.Network, string, *transport.BatchStats)) {
 	const (
 		nClients = 6
 		nOps     = 120
@@ -58,15 +61,17 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 		ObjectLease: 10 * time.Second,
 		VolumeLease: 10 * time.Second,
 	}, false))
-	observer.Tracer = obs.NewTracer(aud)
+	// The load timeline counts the tap's msg events; its window covers the
+	// whole run.
+	tl := loadtl.New("srv", 600, time.Now)
+	observer.Tracer = obs.NewTracer(aud, tl)
 
-	acct := cost.New("srv", time.Now)
+	acct := cost.New("srv", observer, time.Now)
 	acct.Register(reg)
 
-	// Cost accounting wraps the raw network innermost; the obs observer
-	// counts the same traffic from the outside.
-	raw, listenAddr, batch := newNet()
-	netw := transport.ObserveNetwork(acct.Network(raw), obs.WireObserver(observer, "srv", time.Now))
+	// Server and clients share the network, so both ends of every
+	// connection charge the one accountant.
+	netw, listenAddr, batch := newNet(acct)
 
 	srv, err := server.New(server.Config{
 		Name:       "srv",
@@ -175,8 +180,11 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 		cl.Close()
 	}
 	srv.Close()
-
-	d := acct.Snapshot()
+	// A sender charges a frame once its Send returns, which can be after
+	// the peer has received it and the run has moved on (the server writes
+	// a WriteReply from a goroutine of its own). Wait for those last
+	// charges, and the msg events they emit, to land.
+	d, tlMsgs, tlKinds := settle(acct, tl)
 	if d.Totals.MessagesSent == 0 || d.Totals.MessagesRecv == 0 {
 		t.Fatalf("no traffic accounted: %+v", d.Totals)
 	}
@@ -222,17 +230,23 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 		t.Error("no volume-attributed traffic despite volume-lease conversations")
 	}
 
-	// (4) Cross-check against the independent obs instrumentation: both
-	// wrappers saw the identical Send/Recv successes on the same conns.
+	// (4) The tap sees every frame the transport delivers: both ends of
+	// every connection are tapped and the run is quiesced, so each frame
+	// sent was received, kind by kind, with the same bytes.
 	for _, k := range d.Kinds {
-		for _, dir := range []struct {
-			name   string
-			frames int64
-		}{{"sent", k.FramesSent}, {"recv", k.FramesRecv}} {
-			name := fmt.Sprintf("lease_transport_messages_total{node=%q,kind=%q,dir=%q}", "srv", k.Kind, dir.name)
-			if got := reg.Counter(name).Value(); got != dir.frames {
-				t.Errorf("%s %s: cost=%d obs=%d", k.Kind, dir.name, dir.frames, got)
-			}
+		if k.FramesSent != k.FramesRecv || k.BytesSent != k.BytesRecv {
+			t.Errorf("%s: sent %d frames/%d bytes, received %d/%d", k.Kind, k.FramesSent, k.BytesSent, k.FramesRecv, k.BytesRecv)
+		}
+	}
+
+	// (4b) The load timeline counted the tap's msg events: the same message
+	// total, kind by kind.
+	if want := d.Totals.MessagesSent + d.Totals.MessagesRecv; tlMsgs != want {
+		t.Errorf("load timeline counted %d msgs, tap charged %d frames", tlMsgs, want)
+	}
+	for _, k := range d.Kinds {
+		if got := tlKinds[k.Kind]; got != k.FramesSent+k.FramesRecv {
+			t.Errorf("%s: load timeline counted %d msgs, tap charged %d frames", k.Kind, got, k.FramesSent+k.FramesRecv)
 		}
 	}
 
@@ -271,11 +285,37 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 	}
 }
 
+// settle snapshots the books until every frame sent has been received and
+// the load timeline has counted every charged frame, or 5s pass; it returns
+// the last snapshot and the timeline's total and per-kind message counts.
+func settle(acct *cost.Accounting, tl *loadtl.Timeline) (cost.Dump, int64, map[string]int64) {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d := acct.Snapshot()
+		var msgs int64
+		kinds := map[string]int64{}
+		for _, sec := range tl.Snapshot() {
+			msgs += sec.Msgs
+			for k, n := range sec.ByKind {
+				kinds[k] += n
+			}
+		}
+		done := msgs == d.Totals.MessagesSent+d.Totals.MessagesRecv
+		for _, k := range d.Kinds {
+			done = done && k.FramesSent == k.FramesRecv
+		}
+		if done || time.Now().After(deadline) {
+			return d, msgs, kinds
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestConservationKindsAreProtocolKinds pins that the dump only ever
 // reports real wire kinds — the bridge between live accounting and the
 // simulator's MsgClass mapping in `figures -cost` depends on it.
 func TestConservationKindsAreProtocolKinds(t *testing.T) {
-	acct := cost.New("n", time.Now)
+	acct := cost.New("n", nil, time.Now)
 	fa := acct.AccountConn("a", "b")
 	fa.Frame(true, wire.Hello{Client: "c"}, 8, 0)
 	for _, k := range acct.Snapshot().Kinds {

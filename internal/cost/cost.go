@@ -12,10 +12,16 @@
 // buffer pooling, zero-copy) is judged against these numbers via
 // BenchmarkWirePath and cmd/benchdiff.
 //
+// An *Accounting is the transport's per-frame tap (transport.TCP.Tap,
+// transport.Memory.Tap): every frame a tapped connection sends or receives
+// is charged here once, and — while the node's observer is tracing — also
+// emitted as the EvMsgSent/EvMsgRecv event the event ring, the load
+// timeline, and the flight recorder consume.
+//
 // Like the rest of the observability layer, everything is pay-for-what-
 // you-use: a nil *Accounting is a valid, disabled accountant whose Record
 // is a single nil check and zero allocations (see BenchmarkCostDisabled),
-// and an unwrapped network pays nothing at all.
+// and an untapped connection pays one nil check per frame.
 package cost
 
 import (
@@ -71,13 +77,21 @@ type connCost struct {
 
 // Frame implements transport.FrameAccountant.
 func (c *connCost) Frame(sent bool, m wire.Message, size int, codec time.Duration) {
-	c.a.record(sent, m, size, codec)
+	a := c.a
+	a.record(sent, m, size, codec)
 	dc := &c.recv
 	if sent {
 		dc = &c.sent
 	}
 	dc.frames.Add(1)
 	dc.bytes.Add(int64(size))
+	if a.obs.Tracing() {
+		ty := obs.EvMsgRecv
+		if sent {
+			ty = obs.EvMsgSent
+		}
+		a.obs.Emit(obs.Event{Type: ty, At: a.now(), Node: a.node, Msg: m.Kind()})
+	}
 }
 
 // Accounting tallies wire-path costs for one node. All recording methods
@@ -86,6 +100,7 @@ func (c *connCost) Frame(sent bool, m wire.Message, size int, codec time.Duratio
 // a valid, disabled accountant.
 type Accounting struct {
 	node  string
+	obs   *obs.Observer
 	now   func() time.Time
 	start time.Time
 
@@ -101,34 +116,28 @@ type Accounting struct {
 
 var _ transport.ConnAccounter = (*Accounting)(nil)
 
-// New returns an accountant for node. now supplies timestamps for dump
-// metadata only (never the hot path); daemons pass time.Now, tests a
-// simulated clock's Now. A nil now yields zero timestamps.
-func New(node string, now func() time.Time) *Accounting {
+// New returns an accountant for node. While o is tracing, every frame a
+// tapped connection charges is also emitted to o as an EvMsgSent/EvMsgRecv
+// event for node; a nil o emits nothing. now stamps those events and the
+// dump metadata; daemons pass time.Now, tests a simulated clock's Now. A
+// nil now yields zero timestamps.
+func New(node string, o *obs.Observer, now func() time.Time) *Accounting {
 	if now == nil {
 		now = func() time.Time { return time.Time{} }
 	}
 	return &Accounting{
 		node:  node,
+		obs:   o,
 		now:   now,
 		start: now(),
 		conns: make(map[string]*connCost),
 	}
 }
 
-// Network wraps n so all its connections charge into a. Safe on a nil
-// receiver: the network is returned unwrapped and the wire path pays
-// nothing (transport.AccountNetwork must wrap the raw network innermost —
-// see its doc).
-func (a *Accounting) Network(n transport.Network) transport.Network {
-	if a == nil {
-		return n
-	}
-	return transport.AccountNetwork(n, a)
-}
-
 // AccountConn implements transport.ConnAccounter, minting (or reusing —
-// redials to the same peer aggregate) the per-connection accountant.
+// redials to the same peer aggregate) the per-connection accountant. A nil
+// *Accounting stored as a transport's Tap mints nil, so its connections
+// stay untapped.
 func (a *Accounting) AccountConn(local, remote string) transport.FrameAccountant {
 	if a == nil {
 		return nil
@@ -150,11 +159,11 @@ func (a *Accounting) AccountConn(local, remote string) transport.FrameAccountant
 }
 
 // Record charges one message directly (sent direction, encoded size, codec
-// time — zero when no serialization happened). The transport wrapper calls
-// it via per-connection accountants; harnesses without connections may call
-// it straight. Safe on a nil *Accounting: the nil check lives in this
-// inlinable wrapper so disabled call sites stay allocation-free
-// (BenchmarkCostDisabled gates this).
+// time — zero when no serialization happened). Tapped connections charge
+// through their per-connection accountants instead; harnesses without
+// connections may call it straight. It emits no event. Safe on a nil
+// *Accounting: the nil check lives in this inlinable wrapper so disabled
+// call sites stay allocation-free (BenchmarkCostDisabled gates this).
 func (a *Accounting) Record(sent bool, m wire.Message, size int, codec time.Duration) {
 	if a == nil {
 		return

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -33,13 +34,93 @@ func TestNilAccountingSafe(t *testing.T) {
 		t.Error("nil AccountConn minted an accountant")
 	}
 	a.Register(obs.NewRegistry()) // must not panic
-	if n := a.Network(nil); n != nil {
-		t.Error("nil Network wrapped something")
+}
+
+// TestNilAccountingAsTap: a nil *Accounting stored in a transport's Tap is
+// a non-nil interface value. Its AccountConn mints nil, so connections on
+// both transports stay untapped and traffic flows.
+func TestNilAccountingAsTap(t *testing.T) {
+	var a *Accounting
+	mem := transport.NewMemory()
+	mem.Tap = a
+	for _, tc := range []struct {
+		name string
+		netw transport.Network
+		addr string
+	}{
+		{"memory", mem, "srv:1"},
+		{"tcp", transport.TCP{Tap: a}, "127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := tc.netw.Listen(tc.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			accepted := make(chan transport.Conn, 1)
+			go func() {
+				c, err := l.Accept()
+				if err == nil {
+					accepted <- c
+				}
+			}()
+			cl, err := tc.netw.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			srv := <-accepted
+			defer srv.Close()
+			if err := cl.Send(wire.Hello{Client: "c"}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := srv.Recv(); err != nil || m.Kind() != wire.KindHello {
+				t.Fatalf("Recv = %v, %v; want Hello", m, err)
+			}
+			if err := srv.Send(wire.VolLease{Seq: 1, Volume: "v"}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := cl.Recv(); err != nil || m.Kind() != wire.KindVolLease {
+				t.Fatalf("Recv = %v, %v; want VolLease", m, err)
+			}
+		})
+	}
+}
+
+// TestFrameEmitsMsgEvents: while the node's observer traces, each charged
+// frame is also one EvMsgSent/EvMsgRecv event carrying the node and kind;
+// with tracing off the same frames emit nothing. Record never emits.
+func TestFrameEmitsMsgEvents(t *testing.T) {
+	ring := obs.NewRingSink(16)
+	a := New("srv", &obs.Observer{Tracer: obs.NewTracer(ring)}, testNow())
+	fa := a.AccountConn("srv:1", "c:0")
+	fa.Frame(false, wire.ReqObjLease{Seq: 1, Object: "o"}, 20, 0)
+	fa.Frame(true, wire.ObjLease{Seq: 1, Object: "o"}, 40, 0)
+	a.Record(true, wire.Hello{Client: "c"}, 10, 0)
+
+	got := ring.Snapshot()
+	want := []obs.Event{
+		{Type: obs.EvMsgRecv, At: testNow()(), Node: "srv", Msg: wire.KindReqObjLease},
+		{Type: obs.EvMsgSent, At: testNow()(), Node: "srv", Msg: wire.KindObjLease},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("emitted %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	quiet := New("srv", &obs.Observer{Metrics: obs.NewRegistry()}, testNow())
+	quiet.AccountConn("srv:1", "c:0").Frame(true, wire.ObjLease{Seq: 1, Object: "o"}, 40, 0)
+	if quiet.Totals().MessagesSent != 1 {
+		t.Error("frame not charged without a tracer")
 	}
 }
 
 func TestRecordPerKindAndTotals(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Record(true, wire.ObjLease{Seq: 1, Object: "o"}, 40, 100*time.Nanosecond)
 	a.Record(true, wire.ObjLease{Seq: 2, Object: "o"}, 60, 200*time.Nanosecond)
 	a.Record(false, wire.ReqObjLease{Seq: 1, Object: "o"}, 20, 50*time.Nanosecond)
@@ -80,7 +161,7 @@ func TestRecordPerKindAndTotals(t *testing.T) {
 }
 
 func TestZeroCodecNotObserved(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Record(false, wire.Hello{Client: "c"}, 10, 0)
 	d := a.Snapshot()
 	if len(d.Kinds) != 1 || d.Kinds[0].Decode != nil {
@@ -89,7 +170,7 @@ func TestZeroCodecNotObserved(t *testing.T) {
 }
 
 func TestVolumeAccounting(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Record(false, wire.ReqVolLease{Seq: 1, Volume: "vol-a"}, 15, 0)
 	a.Record(true, wire.VolLease{Seq: 1, Volume: "vol-a"}, 25, 0)
 	a.Record(true, wire.Invalidate{Objects: nil}, 5, 0) // no volume
@@ -109,7 +190,7 @@ func TestVolumeAccounting(t *testing.T) {
 }
 
 func TestConnAggregatesRedials(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	fa1 := a.AccountConn("srv:1", "client-1:0")
 	fa2 := a.AccountConn("srv:1", "client-1:0") // redial, same peer
 	if fa1 != fa2 {
@@ -124,7 +205,7 @@ func TestConnAggregatesRedials(t *testing.T) {
 }
 
 func TestConnOverflowBounded(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	for i := 0; i < maxTrackedConns+50; i++ {
 		fa := a.AccountConn("srv:1", fmt.Sprintf("client-%d:0", i))
 		fa.Frame(false, wire.Hello{Client: "c"}, 1, 0)
@@ -143,7 +224,7 @@ func TestConnOverflowBounded(t *testing.T) {
 
 func TestRegisterSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Register(reg)
 	a.Record(true, wire.VolLease{Seq: 1, Volume: "v"}, 30, 2*time.Microsecond)
 	a.Record(false, wire.ReqVolLease{Seq: 1, Volume: "v"}, 12, time.Microsecond)
@@ -171,7 +252,7 @@ func TestRegisterSeries(t *testing.T) {
 }
 
 func TestHandlerFilters(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Record(true, wire.VolLease{Seq: 1, Volume: "vol-a"}, 30, 0)
 	a.Record(true, wire.ObjLease{Seq: 2, Object: "o"}, 40, 0)
 	a.Record(false, wire.AckInvalidate{Volume: "vol-b"}, 10, 0)
@@ -254,7 +335,7 @@ func TestHistEmptyAndNegative(t *testing.T) {
 }
 
 func TestUnknownKindLandsInSlotZero(t *testing.T) {
-	a := New("srv", testNow())
+	a := New("srv", nil, testNow())
 	a.Record(true, fakeKindMsg{}, 5, 0)
 	d := a.Snapshot()
 	// Slot 0 is not exported as a kind, but totals still see the frame.

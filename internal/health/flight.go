@@ -411,7 +411,8 @@ func sanitize(s string) string {
 }
 
 // WriteDump writes d under dir (created if needed) and returns the file
-// path.
+// path. The dump is written to a temporary file and renamed into place, so
+// a reader that finds the file never sees it half written.
 func WriteDump(dir string, d Dump) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("health: dump dir: %w", err)
@@ -421,7 +422,12 @@ func WriteDump(dir string, d Dump) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("health: encode dump: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return "", fmt.Errorf("health: write dump: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return "", fmt.Errorf("health: write dump: %w", err)
 	}
 	return path, nil

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/health"
 	"repro/internal/loadtl"
 	"repro/internal/obs"
@@ -52,13 +53,16 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		UnreachableWindow:    10,
 	})...)
 	observer.Tracer = obs.NewTracer(flight, engine, tl)
+	// The transport tap charges every frame and emits it as a msg event,
+	// which the flight recorder and the load timeline both consume.
+	net.Tap = cost.New("srv", observer, time.Now)
 	engine.Start()
 	defer engine.Close()
 
 	srv, err := server.New(server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",
-		Net:        transport.ObserveNetwork(net, obs.WireObserver(observer, "srv", time.Now)),
+		Net:        net,
 		Table:      core.Config{Mode: core.ModeEager, ObjectLease: 10 * time.Second, VolumeLease: 400 * time.Millisecond},
 		MsgTimeout: 50 * time.Millisecond,
 		Obs:        observer,

@@ -2,52 +2,10 @@ package obs
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
-
-// WireObserver builds a transport.MsgObserver that feeds the observability
-// layer: per-kind/per-direction message counters in the registry
-// (pre-resolved, so the per-message cost is one atomic add) and, when
-// tracing is live, EvMsgSent/EvMsgRecv events stamped by now. node names
-// the endpoint in event and series labels.
-func WireObserver(o *Observer, node string, now func() time.Time) transport.MsgObserver {
-	if o == nil || (o.Metrics == nil && !o.Tracing()) {
-		return nil
-	}
-	var counters [wire.NumKinds][2]*Counter
-	if reg := o.Reg(); reg != nil {
-		for k := 1; k < wire.NumKinds; k++ {
-			kind := wire.Kind(k)
-			counters[k][0] = reg.Counter(fmt.Sprintf(
-				"lease_transport_messages_total{node=%q,kind=%q,dir=\"recv\"}", node, kind))
-			counters[k][1] = reg.Counter(fmt.Sprintf(
-				"lease_transport_messages_total{node=%q,kind=%q,dir=\"sent\"}", node, kind))
-		}
-	}
-	return func(sent bool, k wire.Kind) {
-		if int(k) >= wire.NumKinds || k == 0 {
-			return
-		}
-		dir := 0
-		if sent {
-			dir = 1
-		}
-		if c := counters[k][dir]; c != nil {
-			c.Inc()
-		}
-		if o.Tracing() {
-			ty := EvMsgRecv
-			if sent {
-				ty = EvMsgSent
-			}
-			o.Emit(Event{Type: ty, At: now(), Node: node, Msg: k})
-		}
-	}
-}
 
 // RegisterRecorder exposes a metrics.Recorder's live totals through the
 // registry as scrape-time gauges, so the wire-level accounting the paper's

@@ -47,8 +47,9 @@ const (
 	EvDisconnect
 	// EvRedial: a client transparently re-established its connection.
 	EvRedial
-	// EvMsgSent / EvMsgRecv: one wire message crossed an observed
-	// transport (Msg = kind). Emitted by transport.ObserveNetwork.
+	// EvMsgSent / EvMsgRecv: one wire message crossed a tapped
+	// transport connection (Msg = kind). Emitted by the cost accountant
+	// the transport charges each frame to (internal/cost).
 	EvMsgSent
 	EvMsgRecv
 	// EvCacheRead: a client served a read from its cache (Version = the

@@ -21,6 +21,25 @@ func rawConn(t *testing.T, env *testEnv) transport.Conn {
 	return conn
 }
 
+// recvUntilClosed receives and discards until conn's Recv fails.
+func recvUntilClosed(t *testing.T, conn transport.Conn) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection still open")
+	}
+}
+
 func recvOrTimeout(t *testing.T, conn transport.Conn) wire.Message {
 	t.Helper()
 	type res struct {
@@ -213,8 +232,18 @@ func TestProtocolWriteFencedErrorCode(t *testing.T) {
 	if err := conn.Send(wire.Hello{Client: "raw"}); err != nil {
 		t.Fatal(err)
 	}
+	// A round trip proves the server registered this connection's Hello.
+	// Otherwise Recover could run first, and the late registration would
+	// close the second connection below as a replaced one.
+	if err := conn.Send(wire.ReqObjLease{Seq: 1, Object: "ghost", Version: core.NoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvOrTimeout(t, conn).(wire.Error); !ok {
+		t.Fatal("no reply to the registration round trip")
+	}
 	env.srv.Recover()
-	// Recover killed our connection; reconnect.
+	// Recover killed our connection; wait until it is gone, then reconnect.
+	recvUntilClosed(t, conn)
 	conn2 := rawConn(t, env)
 	if err := conn2.Send(wire.Hello{Client: "raw"}); err != nil {
 		t.Fatal(err)

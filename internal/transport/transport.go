@@ -61,7 +61,7 @@ type Network interface {
 }
 
 // FromDialer is implemented by networks that can dial with an explicit
-// local identity (Memory, and wrappers that preserve the capability).
+// local identity (Memory).
 type FromDialer interface {
 	DialFrom(localHost, addr string) (Conn, error)
 }
@@ -70,7 +70,8 @@ type FromDialer interface {
 
 // TCP is the production Network backed by the operating system's TCP stack.
 // The zero value writes replies inline and batches every other outbound
-// frame per connection (see tcpConn), and dials with a 10-second timeout.
+// frame per connection (see tcpConn), dials with a 10-second timeout, and
+// taps nothing.
 type TCP struct {
 	// DialTimeout bounds Dial; zero means 10 seconds.
 	DialTimeout time.Duration
@@ -78,6 +79,11 @@ type TCP struct {
 	// frames, batch-size histogram) across every connection this network
 	// creates or accepts.
 	Stats *BatchStats
+	// Tap, when non-nil, mints one FrameAccountant per connection this
+	// network creates or accepts. Send charges each frame with its encoded
+	// size and the time wire.AppendEncode took, once the frame is queued;
+	// Recv charges each frame with its size and decode time.
+	Tap ConnAccounter
 }
 
 var _ Network = TCP{}
@@ -180,6 +186,7 @@ type tcpConn struct {
 	hdr [4]byte // frame-header scratch (a stack array would escape into the bufio call)
 
 	stats *BatchStats
+	tap   FrameAccountant // nil: frames are not charged
 
 	// err is the sticky write error: after the first failed write or flush
 	// every subsequent Send fails fast without touching the socket.
@@ -216,6 +223,7 @@ func newTCPConn(c net.Conn, opts TCP) *tcpConn {
 		flushed: make(chan struct{}),
 	}
 	t.qRoom.L = &t.qMu
+	t.tap = mintTap(opts.Tap, t.LocalAddr(), t.RemoteAddr())
 	go t.flushLoop()
 	return t
 }
@@ -247,24 +255,43 @@ func (t *tcpConn) getBuf() *wire.Buf {
 	return wire.GetBuf()
 }
 
+// Send encodes m into a buffer from the connection's freelist and queues it
+// (see SendFrameBuf). A tapped connection times the encode and charges the
+// frame once it is queued.
 func (t *tcpConn) Send(m wire.Message) error {
+	if t.tap == nil {
+		buf, err := t.encode(m)
+		if err != nil {
+			return err
+		}
+		return t.SendFrameBuf(buf)
+	}
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	t0 := time.Now()
+	buf, err := t.encode(m)
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	encode := time.Since(t0)
+	if err != nil {
+		return err
+	}
+	size := len(buf.B) // read before SendFrameBuf takes ownership
+	if err := t.SendFrameBuf(buf); err != nil {
+		return err
+	}
+	t.tap.Frame(true, m, size, encode)
+	return nil
+}
+
+// encode appends m's frame body to a freelist buffer.
+func (t *tcpConn) encode(m wire.Message) (*wire.Buf, error) {
 	buf := t.getBuf()
 	b, err := wire.AppendEncode(buf.B[:0], m)
 	if err != nil {
 		buf.Release()
-		return err
+		return nil, err
 	}
 	buf.B = b
-	return t.SendFrameBuf(buf)
-}
-
-// SendFrame writes a pre-encoded frame body (see FrameSender). The body is
-// copied into a pooled buffer; callers that can hand over ownership should
-// use SendFrameBuf instead.
-func (t *tcpConn) SendFrame(body []byte) error {
-	buf := t.getBuf()
-	buf.B = append(buf.B[:0], body...)
-	return t.SendFrameBuf(buf)
+	return buf, nil
 }
 
 // SendFrameBuf queues a pre-encoded frame body for transmission, taking
@@ -435,29 +462,35 @@ func (t *tcpConn) received() {
 	}
 }
 
+// Recv reads and decodes the next frame. A tapped connection times the
+// decode and charges the frame.
 func (t *tcpConn) Recv() (wire.Message, error) {
 	buf, err := t.RecvFrameBuf()
 	if err != nil {
 		return nil, err
 	}
-	m, err := wire.Decode(buf.B)
-	buf.Release()
-	return m, err
-}
-
-// RecvFrame returns the next raw frame body without decoding it (see
-// FrameReceiver). The body is freshly allocated; hot paths use
-// RecvFrameBuf.
-func (t *tcpConn) RecvFrame() ([]byte, error) {
-	body, err := wire.ReadFrameBytes(t.br)
-	if err == nil {
-		t.received()
+	if t.tap == nil {
+		m, err := wire.Decode(buf.B)
+		buf.Release()
+		return m, err
 	}
-	return body, err
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	t0 := time.Now()
+	m, err := wire.Decode(buf.B)
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	decode := time.Since(t0)
+	size := len(buf.B)
+	buf.Release()
+	if err != nil {
+		return nil, err
+	}
+	t.tap.Frame(false, m, size, decode)
+	return m, nil
 }
 
 // RecvFrameBuf returns the next raw frame body in a pooled buffer (see
-// FrameBufReceiver). The caller owns the Buf and must Release it.
+// FrameBufReceiver). The caller owns the Buf and must Release it. The frame
+// is not charged to the tap.
 //
 //lint:hotpath
 func (t *tcpConn) RecvFrameBuf() (*wire.Buf, error) {
@@ -507,6 +540,12 @@ func (t *tcpConn) RemoteAddr() string { return t.c.RemoteAddr().String() }
 // partitioned link are silently dropped, modeling the paper's unreachable
 // clients (the sender cannot tell a drop from a slow peer).
 type Memory struct {
+	// Tap, when non-nil, mints one FrameAccountant for each end of every
+	// connection this network creates. Frames are charged at their
+	// wire.Size with zero codec time: nothing is serialized. Set it before
+	// the first Dial.
+	Tap ConnAccounter
+
 	mu         sync.Mutex
 	listeners  map[string]*memListener
 	partitions map[[2]string]struct{}
@@ -609,6 +648,8 @@ func (n *Memory) DialFrom(localHost, addr string) (Conn, error) {
 		in: make(chan wire.Message, 1024), done: make(chan struct{}),
 	}
 	clientSide.peer, serverSide.peer = serverSide, clientSide
+	clientSide.tap = mintTap(n.Tap, clientSide.local, clientSide.remote)
+	serverSide.tap = mintTap(n.Tap, serverSide.local, serverSide.remote)
 
 	select {
 	case l.backlog <- serverSide:
@@ -660,6 +701,7 @@ type memConn struct {
 	remote string
 	peer   *memConn
 	in     chan wire.Message
+	tap    FrameAccountant // nil: frames are not charged
 
 	// Delayed delivery (SetLatency) runs through a single per-connection
 	// goroutine draining delayQ in FIFO order. One goroutine per direction
@@ -682,8 +724,17 @@ type delayedMsg struct {
 }
 
 // Send delivers to the peer's inbox unless the link is partitioned (silent
-// drop) or either side is closed.
+// drop) or either side is closed. A tapped connection charges every frame
+// it accepts, dropped ones included: the sender cannot tell.
 func (c *memConn) Send(m wire.Message) error {
+	err := c.send(m)
+	if err == nil && c.tap != nil {
+		c.tap.Frame(true, m, wire.Size(m), 0)
+	}
+	return err
+}
+
+func (c *memConn) send(m wire.Message) error {
 	select {
 	case <-c.done:
 		return ErrClosed
@@ -778,6 +829,14 @@ func (c *memConn) deliverLoop() {
 }
 
 func (c *memConn) Recv() (wire.Message, error) {
+	m, err := c.recv()
+	if err == nil && c.tap != nil {
+		c.tap.Frame(false, m, wire.Size(m), 0)
+	}
+	return m, err
+}
+
+func (c *memConn) recv() (wire.Message, error) {
 	select {
 	case m := <-c.in:
 		return m, nil
