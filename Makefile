@@ -12,10 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers: the five single-function checks (clock
-# injection, shard lock order, wire encode/decode symmetry, metric hygiene,
-# goroutine shutdown wiring) plus the four interprocedural ones built on the
-# whole-module call graph (hotalloc, lockflow, spawnjoin, snapshotcopy).
+# Project-specific analyzers: the four single-function checks (clock
+# injection, shard lock order, wire encode/decode symmetry, metric hygiene)
+# plus the four interprocedural ones built on the type-checked whole-module
+# call graph (hotalloc, lockflow, spawnjoin, snapshotcopy).
 # Stale //lint:allow comments are findings too. See DESIGN.md §8/§13;
 # suppress a finding with `//lint:allow <analyzer> — reason`.
 lint:

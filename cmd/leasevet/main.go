@@ -1,4 +1,4 @@
-// Command leasevet runs the project's static analyzer suite (internal/lint)
+// Command leasevet runs the project's eight static analyzers (internal/lint)
 // over the lease stack and exits non-zero on any finding. It is the `make
 // lint` entry point and runs in CI; see DESIGN.md's "Static analysis"
 // section for what each analyzer enforces and why.
@@ -20,7 +20,9 @@
 // hatch cannot rot; -fix-allows lists just those comments, for removal.
 // -graph dumps the interprocedural call graph (one "caller -> callee
 // [kind]" line per edge) for debugging the reachability analyzers, and
-// -timing reports per-analyzer wall time and finding counts.
+// -timing reports the wall time of loading (`go list`, then parsing and
+// type-checking), of building the call graph, and of each analyzer, with
+// each analyzer's finding count.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/lint"
 )
@@ -55,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", ".", "directory to resolve package patterns from")
 	asJSON := fs.Bool("json", false, "print findings as a JSON array")
 	graph := fs.Bool("graph", false, "dump the interprocedural call graph and exit")
-	timing := fs.Bool("timing", false, "report per-analyzer wall time and finding counts")
+	timing := fs.Bool("timing", false, "report load, call-graph and per-analyzer wall time and finding counts")
 	fixAllows := fs.Bool("fix-allows", false, "list stale //lint:allow comments (suppressing nothing) and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(*dir, patterns)
+	pkgs, loadTiming, err := lint.LoadTimed(*dir, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -113,6 +116,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *timing {
+		for _, phase := range []struct {
+			name string
+			d    time.Duration
+		}{{"go list", loadTiming.List}, {"typecheck", loadTiming.Check}, {"callgraph", res.GraphTime}} {
+			fmt.Fprintf(stderr, "leasevet: %-12s %8.2fms\n", phase.name, float64(phase.d.Microseconds())/1000)
+		}
 		for _, t := range res.Timings {
 			fmt.Fprintf(stderr, "leasevet: %-12s %8.2fms %4d finding(s)\n",
 				t.Name, float64(t.Duration.Microseconds())/1000, t.Findings)

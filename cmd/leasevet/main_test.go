@@ -81,7 +81,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"clockcheck", "lockorder", "wiresym", "metricreg", "ctxclean",
+		"clockcheck", "lockorder", "wiresym", "metricreg",
 		"hotalloc", "lockflow", "spawnjoin", "snapshotcopy",
 	} {
 		if !strings.Contains(stdout.String(), name) {
@@ -206,14 +206,14 @@ func TestGraphFlag(t *testing.T) {
 	}
 }
 
-// TestTimingFlag reports per-analyzer wall time on stderr without touching
-// the findings contract on stdout.
+// TestTimingFlag reports the load phases' and per-analyzer wall time on
+// stderr without touching the findings contract on stdout.
 func TestTimingFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-dir", "../..", "-timing"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"hotalloc", "lockflow", "spawnjoin", "snapshotcopy"} {
+	for _, name := range []string{"go list", "typecheck", "callgraph", "hotalloc", "lockflow", "spawnjoin", "snapshotcopy"} {
 		if !strings.Contains(stderr.String(), name) {
 			t.Errorf("-timing output missing %s:\n%s", name, stderr.String())
 		}

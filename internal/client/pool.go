@@ -28,6 +28,7 @@ type Pool struct {
 	mu      sync.Mutex
 	routes  map[core.VolumeID]string // volume -> server address
 	clients map[string]*Client       // address -> connected client
+	dialing map[string]chan struct{} // address -> closed when its dial ends
 	closed  bool
 }
 
@@ -43,6 +44,7 @@ func NewPool(net transport.Network, cfg Config) (*Pool, error) {
 		cfg:     cfg,
 		routes:  make(map[core.VolumeID]string),
 		clients: make(map[string]*Client),
+		dialing: make(map[string]chan struct{}),
 	}, nil
 }
 
@@ -70,35 +72,47 @@ func (p *Pool) Routes() []core.VolumeID {
 // clientFor returns (dialing if necessary) the client for a volume.
 func (p *Pool) clientFor(vid core.VolumeID) (*Client, error) {
 	p.mu.Lock()
-	if p.closed {
+	var addr string
+	for {
+		if p.closed {
+			p.mu.Unlock()
+			return nil, ErrClosed
+		}
+		var ok bool
+		if addr, ok = p.routes[vid]; !ok {
+			p.mu.Unlock()
+			return nil, fmt.Errorf("%w: %q", ErrNoRoute, vid)
+		}
+		if c, ok := p.clients[addr]; ok {
+			p.mu.Unlock()
+			return c, nil
+		}
+		wait, ok := p.dialing[addr]
+		if !ok {
+			break
+		}
 		p.mu.Unlock()
-		return nil, ErrClosed
+		<-wait
+		p.mu.Lock()
 	}
-	addr, ok := p.routes[vid]
-	if !ok {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNoRoute, vid)
-	}
-	if c, ok := p.clients[addr]; ok {
-		p.mu.Unlock()
-		return c, nil
-	}
+	done := make(chan struct{})
+	p.dialing[addr] = done
 	p.mu.Unlock()
 
-	// Dial outside the lock; racing dials are reconciled below.
+	// Dial outside the lock, one dial per server at a time: every dial
+	// carries the same client ID, and the server drops a client's older
+	// connection when a newer one says Hello.
 	c, err := Dial(p.net, addr, p.cfg)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.dialing, addr)
+	close(done)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s for volume %q: %w", addr, vid, err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
 		c.Close()
 		return nil, ErrClosed
-	}
-	if existing, ok := p.clients[addr]; ok {
-		c.Close()
-		return existing, nil
 	}
 	p.clients[addr] = c
 	return c, nil

@@ -180,10 +180,11 @@ func runConservation(t *testing.T, newNet func(tap transport.ConnAccounter) (tra
 		cl.Close()
 	}
 	srv.Close()
-	// A sender charges a frame once its Send returns, which can be after
-	// the peer has received it and the run has moved on (the server writes
-	// a WriteReply from a goroutine of its own). Wait for those last
-	// charges, and the msg events they emit, to land.
+	// srv.Close waits for every server goroutine, the write handlers that
+	// send WriteReply included, and cl.Close for the client's. A sender
+	// still charges a frame only once its Send returns, which can be after
+	// the peer has received it, so poll (bounded) until the last charges,
+	// and the msg events they emit, have landed.
 	d, tlMsgs, tlKinds := settle(acct, tl)
 	if d.Totals.MessagesSent == 0 || d.Totals.MessagesRecv == 0 {
 		t.Fatalf("no traffic accounted: %+v", d.Totals)

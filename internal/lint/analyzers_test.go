@@ -1,6 +1,11 @@
 package lint
 
-import "testing"
+import (
+	"fmt"
+	"go/token"
+	"strings"
+	"testing"
+)
 
 func TestClockCheckFixture(t *testing.T) { runFixture(t, ClockCheck, "clockcheck") }
 
@@ -9,8 +14,6 @@ func TestLockOrderFixture(t *testing.T) { runFixture(t, LockOrder, "lockorder") 
 func TestWireSymFixture(t *testing.T) { runFixture(t, WireSym, "wiresym") }
 
 func TestMetricRegFixture(t *testing.T) { runFixture(t, MetricReg, "metricreg") }
-
-func TestCtxCleanFixture(t *testing.T) { runFixture(t, CtxClean, "ctxclean") }
 
 func TestHotAllocFixture(t *testing.T) { runFixture(t, HotAlloc, "hotalloc") }
 
@@ -34,7 +37,12 @@ func f() { _ = stdtime.Now() }
 		t.Fatalf("diagnostics = %d, want 1: %v", len(diags), diags)
 	}
 
-	clean := mustParsePackage(t, "fixture/other", `package p
+	c := newChecker(token.NewFileSet(), nil)
+	mustCheckPackage(t, c, "example.com/other/time", `package time
+
+func Now() int { return 0 }
+`)
+	clean := mustCheckPackage(t, c, "fixture/other", `package p
 
 import "example.com/other/time"
 
@@ -42,6 +50,38 @@ func f() { _ = time.Now() }
 `)
 	if diags := RunAnalyzer(ClockCheck, clean); len(diags) != 0 {
 		t.Fatalf("flagged a non-stdlib time package: %v", diags)
+	}
+}
+
+// TestClockCheckFuncValue verifies a wall-clock function handed out as a
+// value is flagged where it is named, as is a dot-imported call; a method
+// of time.Time that shares a name (After) is not.
+func TestClockCheckFuncValue(t *testing.T) {
+	pkg := mustParsePackage(t, "fixture/funcvalue", `package p
+
+import (
+	"time"
+	. "time"
+)
+
+func stamp(now func() time.Time) time.Time { return now() }
+
+func f(t time.Time) bool {
+	_ = stamp(time.Now)
+	clock := time.Since
+	_ = clock
+	Sleep(0)
+	return t.After(t)
+}
+`)
+	diags := RunAnalyzer(ClockCheck, pkg)
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d:%s", d.Pos.Line, d.Message[:strings.Index(d.Message, " ")]))
+	}
+	want := []string{"11:time.Now", "12:time.Since", "14:time.Sleep"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("findings = %v, want %v", got, want)
 	}
 }
 
@@ -84,19 +124,18 @@ func TestScoped(t *testing.T) {
 		{"metricreg", "repro/internal/obs", true},
 		{"metricreg", "repro/cmd/leased", true},
 		{"metricreg", "other/module", false},
-		{"ctxclean", "repro/internal/server", true},
-		{"ctxclean", "repro/internal/sim", false},      // simulation steps synchronously
-		{"ctxclean", "repro/internal/health", true},    // the engine's tick goroutine must stop cleanly
-		{"ctxclean", "repro/internal/cost", true},      // the profiler loop must drain on Close
-		{"ctxclean", "repro/internal/transport", true}, // flusher/delivery goroutines must drain on Close
 		{"hotalloc", "repro/internal/wire", true},      // the //lint:hotpath roots live here
 		{"hotalloc", "repro/internal/transport", true}, // ... and in the batcher
 		{"hotalloc", "repro/internal/server", false},   // grant logic is allowed to allocate
 		{"lockflow", "repro/internal/server", true},
 		{"lockflow", "repro/internal/proxy", true},
 		{"lockflow", "repro/internal/wire", false}, // no shard mutexes in the codec
-		{"spawnjoin", "repro/internal/transport", true},
-		{"spawnjoin", "repro/internal/sim", false}, // simulation steps synchronously
+		{"spawnjoin", "repro/internal/server", true},
+		{"spawnjoin", "repro/internal/sim", false},      // simulation steps synchronously
+		{"spawnjoin", "repro/internal/health", true},    // the engine's tick goroutine must stop cleanly
+		{"spawnjoin", "repro/internal/cost", true},      // the profiler loop must drain on Close
+		{"spawnjoin", "repro/internal/transport", true}, // flusher/delivery goroutines must drain on Close
+		{"ctxclean", "repro/internal/server", false},    // folded into spawnjoin
 		{"snapshotcopy", "repro/internal/core", true},
 		{"snapshotcopy", "repro/internal/state", true}, // the snapshot types live here
 		{"snapshotcopy", "repro/internal/wire", false},

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // forbiddenTimeFuncs are the package-time entry points that read or wait on
@@ -34,27 +35,24 @@ var ClockCheck = &Analyzer{
 
 func runClockCheck(pass *Pass) {
 	for _, f := range pass.Files {
-		timeName := importName(f, "time")
-		if timeName == "" {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			var id *ast.Ident
+			switch v := n.(type) {
+			case *ast.SelectorExpr:
+				id = v.Sel
+			case *ast.Ident:
+				id = v // a dot import
+			default:
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			base, ok := sel.X.(*ast.Ident)
-			if !ok || base.Name != timeName {
-				return true
-			}
-			if forbiddenTimeFuncs[sel.Sel.Name] {
-				pass.Reportf(call.Pos(),
+			// Calls and func values alike: `f(time.Now)` samples the wall
+			// clock wherever f calls it.
+			if fn, ok := pass.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" &&
+				fn.Type().(*types.Signature).Recv() == nil && forbiddenTimeFuncs[fn.Name()] {
+				pass.Reportf(n.Pos(),
 					"time.%s reads the wall clock; use the injected clock.Clock so simulated and live timelines agree",
-					sel.Sel.Name)
+					fn.Name())
+				return false
 			}
 			return true
 		})

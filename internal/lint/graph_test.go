@@ -121,6 +121,49 @@ func shutdown(f flusher) error { return f.Close() }
 	}
 }
 
+// TestGraphDispatchNeedsImplements pins that dispatch candidates are the
+// types that implement the interface, not the types with same-named
+// methods: closer's Close has the wrong signature, and nothing implements
+// sink, so neither interface call reaches it.
+func TestGraphDispatchNeedsImplements(t *testing.T) {
+	g := buildTestGraph(t, `package p
+
+type flusher interface {
+	Close() error
+	Flush() error
+}
+
+type sink interface {
+	Close() error
+}
+
+type file struct{}
+
+func (f *file) Close() error { return nil }
+func (f *file) Flush() error { return nil }
+
+type closer struct{}
+
+func (c closer) Close(force bool) error { return nil }
+func (c closer) Flush() error           { return nil }
+
+func shutdown(f flusher) error { return f.Close() }
+
+func drop(s sink) error { return s.Close() }
+`)
+	sd := graphNode(t, g, "fixture/graph.shutdown")
+	if _, ok := edgeTo(sd, "fixture/graph.(*file).Close"); !ok {
+		t.Errorf("shutdown has no edge to (*file).Close: %+v", sd.Edges)
+	}
+	if _, ok := edgeTo(sd, "fixture/graph.(*closer).Close"); ok {
+		t.Errorf("closer.Close(bool) is a dispatch candidate of flusher.Close()")
+	}
+	drop := graphNode(t, g, "fixture/graph.drop")
+	if _, ok := edgeTo(drop, "fixture/graph.(*closer).Close"); ok {
+		t.Errorf("closer.Close(bool) is a dispatch candidate of sink.Close()")
+	}
+}
+
 // TestGraphClosures verifies function literals become their own nodes,
 // linked from the enclosing function, with their bodies walked (the closure
 // calls out) and `go func(...)` spawns recorded as EdgeGo.

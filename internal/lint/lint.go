@@ -1,17 +1,19 @@
 // Package lint implements leasevet: a suite of project-specific static
 // analyzers that mechanically enforce the lease stack's hand-written
-// disciplines — clock injection, shard lock order, wire encode/decode
-// symmetry, metric registration hygiene, and goroutine shutdown wiring.
-// The invariants themselves are argued in DESIGN.md; each analyzer turns
-// one of those arguments into a build-time check (`make lint`).
+// disciplines — clock injection, shard lock order, blocking under shard
+// locks, wire encode/decode symmetry, metric registration hygiene,
+// goroutine shutdown wiring, the zero-alloc wire path, and share-no-memory
+// snapshots. The invariants themselves are argued in DESIGN.md; each
+// analyzer turns one of those arguments into a build-time check (`make
+// lint`).
 //
-// The suite is deliberately self-contained: it is built on go/ast and
-// go/parser only (no golang.org/x/tools dependency), mirroring the shape
-// of a go/analysis pass — an Analyzer with a Run func over a Pass — so it
-// can run in hermetic build environments. Analysis is syntactic; the
-// analyzers encode project idioms (field names like `mu`, helpers like
-// `allShards`), which is exactly what makes them precise here and useless
-// anywhere else.
+// The suite is deliberately self-contained: it is built on the standard
+// library's go/ast, go/parser and go/types (no golang.org/x/tools
+// dependency), mirroring the shape of a go/analysis pass — an Analyzer with
+// a Run func over a Pass — so it can run in hermetic build environments.
+// Packages are type-checked from source; the analyzers also encode project
+// idioms (field names like `mu`, helpers like `allShards`), which is exactly
+// what makes them precise here and useless anywhere else.
 //
 // A finding can be suppressed by annotating the offending line (or the
 // line above it) with
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -51,6 +54,7 @@ type Pass struct {
 	Fset     *token.FileSet
 	PkgPath  string
 	Files    []*ast.File
+	Info     *types.Info
 
 	diags []Diagnostic
 }
@@ -95,15 +99,14 @@ func (p *GraphPass) ReportNodef(n *FuncNode, pos token.Pos, format string, args 
 	})
 }
 
-// Analyzers returns the full leasevet suite: the five single-function
-// analyzers from PR 5 plus the four interprocedural ones.
+// Analyzers returns the full leasevet suite: four single-function analyzers
+// plus the four interprocedural ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ClockCheck,
 		LockOrder,
 		WireSym,
 		MetricReg,
-		CtxClean,
 		HotAlloc,
 		LockFlow,
 		SpawnJoin,
@@ -111,11 +114,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Package is one loaded (parsed, not type-checked) package.
+// Package is one loaded package: its parsed files and their type
+// information. Packages loaded together share one FileSet.
 type Package struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // RunAnalyzer applies one analyzer to one package and returns its findings
@@ -129,7 +135,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package) []Diagnostic {
 		a.RunGraph(gp)
 		diags = gp.diags
 	} else {
-		pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files}
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files, Info: pkg.Info}
 		a.Run(pass)
 		diags = pass.diags
 	}
@@ -205,29 +211,6 @@ func allowLines(pkg *Package, analyzer string) map[fileLine]bool {
 }
 
 // --- shared syntactic helpers ---
-
-// importName reports the file-local name under which path is imported, or
-// "" when it is not imported. The default name is the last path element;
-// blank and dot imports return "" (callers treat them as not addressable).
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
 
 // exprString renders a selector/ident chain compactly ("s.cfg.Recorder").
 // Non-chain expressions render their last component best-effort.

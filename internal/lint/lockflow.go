@@ -6,30 +6,42 @@ import (
 	"strings"
 )
 
-// LockFlow is the interprocedural upgrade of lockorder rule 3: no blocking
-// operation may be *reachable* while a shard/table mutex is held, through
-// any call depth. lockorder catches a channel send or transport call
-// written directly inside the locked section; lockflow additionally follows
-// every resolved call made under the lock into its callees (and their
-// callees), looking for:
+// LockFlow enforces the shard-lock half of the write path's discipline:
+// enqueue under the lock, block outside it. No blocking operation may run
+// while a shard/table mutex is held, whether it is written in the locked
+// section itself or reached through any call depth: every resolved call
+// made under the lock is followed into its callees (and their callees).
+// Blocking operations are:
 //
-//   - blocking channel sends and selects without a default clause
+//   - channel sends and selects without a default clause
 //   - condition-variable / WaitGroup Wait calls
 //   - transport sends/receives (the blockingCallNames set, when the callee
 //     body is outside the module or unresolved)
 //   - time.Sleep
-//   - acquisition of a second shard mutex (lock-order deadlock risk)
+//   - acquisition of a second shard mutex (lock-order deadlock risk; the
+//     locked section's own Lock statements are lockorder's multiple-shard
+//     rule)
 //
 // Deferred calls inside a callee count (they run before the callee returns,
 // still under the caller's lock); goroutines spawned by a callee do not
-// (they do not inherit the lock). Findings are reported at the call site
-// inside the locked section, with the call chain to the blocking operation.
-// Direct violations in the locked function itself are lockorder's job and
-// are not re-reported here.
+// (they do not inherit the lock). Findings are reported at the blocking
+// operation or call site inside the locked section, with the call chain to
+// the blocking operation.
 var LockFlow = &Analyzer{
 	Name:     "lockflow",
-	Doc:      "no blocking operation reachable while a shard mutex is held, through any call depth",
+	Doc:      "no blocking operation while a shard mutex is held, directly or through any call depth",
 	RunGraph: runLockFlow,
+}
+
+// blockingCallNames are the transport-facing calls that can block on the
+// network (or on a slow peer) and must therefore never run under a shard or
+// table mutex. The lowercase names are this project's send wrappers.
+var blockingCallNames = map[string]bool{
+	"Send":           true,
+	"Recv":           true,
+	"send":           true,
+	"sendErr":        true,
+	"sendInvalidate": true,
 }
 
 // blocker describes why (and where) a function may block.
@@ -123,6 +135,9 @@ func (lf *lockFlow) holderStmt(n *FuncNode, stmt ast.Stmt, held map[string]bool)
 			}
 		}
 	case *ast.SelectStmt:
+		if !hasDefault(s) {
+			lf.checkCalls(n, s, held)
+		}
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
 				lf.holderStmts(n, cc.Body, held)
@@ -141,8 +156,9 @@ func (lf *lockFlow) holderStmt(n *FuncNode, stmt ast.Stmt, held map[string]bool)
 	}
 }
 
-// checkCalls summarizes every resolved call inside node (a stmt or expr)
-// while a shard mutex is held.
+// checkCalls reports, while a shard mutex is held, every blocking operation
+// directly inside node (a stmt or expr) and every resolved call there that
+// reaches one.
 func (lf *lockFlow) checkCalls(n *FuncNode, node ast.Node, held map[string]bool) {
 	if node == nil {
 		return
@@ -155,12 +171,17 @@ func (lf *lockFlow) checkCalls(n *FuncNode, node ast.Node, held map[string]bool)
 		if _, ok := nd.(*ast.FuncLit); ok {
 			return false // its own node; analyzed with its own lock context
 		}
+		if what := lf.directBlocker(n, nd); what != "" {
+			lf.p.ReportNodef(n, nd.Pos(),
+				"blocking %s while %s is held; enqueue under the lock, run the blocking step outside it", what, mu)
+			return false
+		}
 		call, ok := nd.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		for _, e := range lf.p.Graph.EdgesAt(call) {
-			if e.Callee == nil || e.Kind != EdgeCall || e.Weak {
+			if e.Callee == nil || e.Kind != EdgeCall {
 				continue
 			}
 			b := lf.summary(e.Callee)
@@ -175,6 +196,57 @@ func (lf *lockFlow) checkCalls(n *FuncNode, node ast.Node, held map[string]bool)
 		}
 		return true
 	})
+}
+
+// directBlocker describes nd if it is itself a blocking operation in fn, or
+// returns "". A select with a default clause never blocks (its bodies may).
+func (lf *lockFlow) directBlocker(fn *FuncNode, nd ast.Node) string {
+	switch v := nd.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.SelectStmt:
+		if !hasDefault(v) {
+			return "select without default"
+		}
+	case *ast.CallExpr:
+		resolved := false
+		for _, e := range lf.p.Graph.EdgesAt(v) {
+			if e.Callee != nil {
+				resolved = true
+			} else if e.Target == "time.Sleep" {
+				return "time.Sleep"
+			}
+		}
+		sel, ok := v.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		switch {
+		case sel.Sel.Name == "Wait":
+			return "Wait (condvar/WaitGroup)"
+		case sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock":
+			// A second shard-mutex acquisition only counts when the locked
+			// `mu` belongs to the shard discipline's packages (lockorder
+			// scope): every leaf component (clock, obs, ...) also names its
+			// private mutex `mu`, and locking one of those is not a
+			// lock-order hazard.
+			if name, shard, ok := isMutexChain(sel.X); ok && shard && Scoped("lockorder", fn.Pkg.Path) {
+				return "second shard-mutex acquisition (" + name + ")"
+			}
+		case !resolved && blockingCallNames[sel.Sel.Name]:
+			return "transport call " + exprString(sel.X) + "." + sel.Sel.Name
+		}
+	}
+	return ""
+}
+
+func hasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // --- callee side: memoized blocking summaries ---
@@ -197,14 +269,13 @@ func (lf *lockFlow) summary(fn *FuncNode) *blocker {
 func (lf *lockFlow) findBlocker(fn *FuncNode) *blocker {
 	var found *blocker
 	var walk func(ast.Node)
-	note := func(what string, pos token.Pos) {
-		if found == nil {
-			found = &blocker{what: what, pos: pos, node: fn}
-		}
-	}
 	walk = func(node ast.Node) {
 		ast.Inspect(node, func(nd ast.Node) bool {
 			if found != nil {
+				return false
+			}
+			if what := lf.directBlocker(fn, nd); what != "" {
+				found = &blocker{what: what, pos: nd.Pos(), node: fn}
 				return false
 			}
 			switch v := nd.(type) {
@@ -212,79 +283,26 @@ func (lf *lockFlow) findBlocker(fn *FuncNode) *blocker {
 				return false // separate node; reached only if invoked (via edges)
 			case *ast.GoStmt:
 				return false // spawned work does not block the spawner
-			case *ast.SendStmt:
-				note("channel send", v.Pos())
-				return false
 			case *ast.SelectStmt:
-				hasDefault := false
-				for _, c := range v.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						hasDefault = true
-					}
-				}
-				if !hasDefault {
-					note("select without default", v.Pos())
-					return false
-				}
 				// Non-blocking select: its bodies may still block.
 				for _, c := range v.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						for _, s := range cc.Body {
-							walk(s)
-						}
+					for _, s := range c.(*ast.CommClause).Body {
+						walk(s)
 					}
 				}
 				return false
 			case *ast.CallExpr:
-				if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-					if sel.Sel.Name == "Wait" {
-						note("Wait (condvar/WaitGroup)", v.Pos())
-						return false
-					}
-					// A second shard-mutex acquisition only counts when the
-					// locked `mu` belongs to the shard discipline's packages
-					// (lockorder scope): every leaf component (clock,
-					// obs, ...) also names its private mutex `mu`, and
-					// locking one of those is not a lock-order hazard.
-					if name, shard, ok := isMutexChain(sel.X); ok && shard &&
-						(sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") &&
-						Scoped("lockorder", fn.Pkg.Path) {
-						note("second shard-mutex acquisition ("+name+")", v.Pos())
-						return false
-					}
-				}
-				resolved := false
 				for _, e := range lf.p.Graph.EdgesAt(v) {
-					if e.Weak {
-						// Name-only dispatch guesses would pin blocking on
-						// unrelated same-name methods (time.Time.After vs
-						// clock's After); skip them in blocking summaries.
+					if e.Callee == nil || (e.Kind != EdgeCall && e.Kind != EdgeDefer) {
 						continue
 					}
-					if e.Callee != nil {
-						resolved = true
-						if e.Kind != EdgeCall && e.Kind != EdgeDefer {
-							continue
+					if b := lf.summary(e.Callee); b != nil {
+						found = &blocker{
+							what:  b.what,
+							pos:   b.pos,
+							node:  b.node,
+							chain: append([]string{e.Callee.Name}, b.chain...),
 						}
-						if b := lf.summary(e.Callee); b != nil {
-							if found == nil {
-								found = &blocker{
-									what:  b.what,
-									pos:   b.pos,
-									node:  b.node,
-									chain: append([]string{e.Callee.Name}, b.chain...),
-								}
-							}
-							return false
-						}
-					} else if e.Target == "time.Sleep" {
-						note("time.Sleep", v.Pos())
-						return false
-					}
-				}
-				if !resolved {
-					if sel, ok := v.Fun.(*ast.SelectorExpr); ok && blockingCallNames[sel.Sel.Name] {
-						note("transport call "+exprString(sel.X)+"."+sel.Sel.Name, v.Pos())
 						return false
 					}
 				}

@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// LockOrder enforces the PR 3 shard-locking discipline in the server and
-// proxy:
+// LockOrder enforces the PR 3 shard-locking order in the server and proxy:
 //
 //  1. Multi-shard operations must take shard mutexes in sorted volume
 //     order. The only sanctioned way to do that is ranging over the
@@ -16,11 +15,8 @@ import (
 //     mutexes in nondeterministic order and can deadlock against Recover.
 //  2. Holding two distinct `mu` fields at once outside that helper is the
 //     same hazard spelled differently.
-//  3. No blocking operation while a shard/table mutex is held: blocking
-//     channel sends (outside a select with a default) and transport
-//     Send/Recv calls under a mutex stall every other operation on the
-//     shard — the fan-out discipline is enqueue under the lock, send
-//     outside it.
+//
+// Blocking while a shard mutex is held is lockflow's rule.
 //
 // The analysis is a linear, syntactic scan per function: it tracks Lock and
 // Unlock calls on mutex-named fields (`mu`, `fooMu`) through nested blocks,
@@ -28,7 +24,7 @@ import (
 // stack's straight-line lock sections and errs toward silence elsewhere.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforces sorted-order multi-shard locking and forbids blocking sends/transport calls under shard mutexes",
+	Doc:  "enforces sorted-order multi-shard locking: allShards() iteration, never two shard mutexes at once",
 	Run:  runLockOrder,
 }
 
@@ -59,17 +55,6 @@ func allShardsAssignees(body *ast.BlockStmt) map[string]bool {
 		return true
 	})
 	return out
-}
-
-// blockingCallNames are the transport-facing calls that can block on the
-// network (or on a slow peer) and must therefore never run under a shard or
-// table mutex. The lowercase names are this project's send wrappers.
-var blockingCallNames = map[string]bool{
-	"Send":           true,
-	"Recv":           true,
-	"send":           true,
-	"sendErr":        true,
-	"sendInvalidate": true,
 }
 
 type lockWalker struct {
@@ -165,7 +150,6 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]bool) {
 		if s.Init != nil {
 			w.stmt(s.Init, held)
 		}
-		w.checkExpr(s.Cond, held)
 		w.stmt(s.Body, held)
 		if s.Else != nil {
 			w.stmt(s.Else, held)
@@ -193,19 +177,16 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]bool) {
 			}
 		}
 	case *ast.SelectStmt:
-		w.selectStmt(s, held)
-	case *ast.SendStmt:
-		if e := heldShardMutex(held); e != "" {
-			w.pass.Reportf(stmt.Pos(),
-				"blocking channel send while %s is held; buffer or move the send outside the lock", e)
+		for _, c := range s.Body.List {
+			if cc, ok := c.(*ast.CommClause); ok {
+				w.stmts(cc.Body, held)
+			}
 		}
 	case *ast.GoStmt:
 		// The spawned goroutine does not inherit the spawner's locks; its
 		// body (a FuncLit) is analyzed as its own function by funcBodies.
 	case *ast.LabeledStmt:
 		w.stmt(s.Stmt, held)
-	default:
-		w.checkStmtExprs(stmt, held)
 	}
 }
 
@@ -259,76 +240,6 @@ func locksValueMutex(body *ast.BlockStmt, value string) bool {
 		return true
 	})
 	return found
-}
-
-// selectStmt: a select with a default clause never blocks, so its comm
-// operations are exempt; without one, its sends are blocking operations.
-func (w *lockWalker) selectStmt(s *ast.SelectStmt, held map[string]bool) {
-	hasDefault := false
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
-	}
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm != nil && !hasDefault {
-			if _, isSend := cc.Comm.(*ast.SendStmt); isSend {
-				if e := heldShardMutex(held); e != "" {
-					w.pass.Reportf(cc.Comm.Pos(),
-						"blocking channel send while %s is held; buffer or move the send outside the lock", e)
-				}
-			}
-		}
-		w.stmts(cc.Body, held)
-	}
-}
-
-// checkStmtExprs flags transport calls inside arbitrary statements while a
-// shard/table mutex is held.
-func (w *lockWalker) checkStmtExprs(stmt ast.Stmt, held map[string]bool) {
-	if len(held) == 0 {
-		return
-	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // separate function; analyzed on its own
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.checkCall(call, held)
-		}
-		return true
-	})
-}
-
-func (w *lockWalker) checkExpr(e ast.Expr, held map[string]bool) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.checkCall(call, held)
-		}
-		return true
-	})
-}
-
-func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !blockingCallNames[sel.Sel.Name] {
-		return
-	}
-	if e := heldShardMutex(held); e != "" {
-		w.pass.Reportf(call.Pos(),
-			"transport call %s.%s while %s is held; enqueue under the lock, send outside it",
-			exprString(sel.X), sel.Sel.Name, e)
-	}
 }
 
 // heldShardMutex returns a held shard/table mutex expression, or "".

@@ -11,12 +11,10 @@ import "strings"
 //     the transport is checked too since the batcher landed, with its few
 //     legitimate wall-clock sites (codec timing, socket deadlines, injected
 //     wire latency) annotated //lint:allow.
-//   - lockorder: the shard/table locking discipline lives in the server and
-//     the proxy (the two lease-granting roles).
+//   - lockorder: the shard locking order lives in the server and the proxy
+//     (the two lease-granting roles).
 //   - wiresym: encode/decode symmetry is a property of internal/wire.
 //   - metricreg: metric naming and nil-guard hygiene apply repo-wide.
-//   - ctxclean: shutdown wiring applies to every package that spawns
-//     long-lived goroutines in the live stack.
 //   - hotalloc: the //lint:hotpath roots live in the wire codec and the
 //     transport batcher; findings land where the allocation is, so both
 //     layers are in scope.
@@ -24,8 +22,8 @@ import "strings"
 //     the two lease-granting roles, but violations can be *reached* through
 //     helpers anywhere; findings are reported at the call site under the
 //     lock, which is in server or proxy.
-//   - spawnjoin: same blast radius as ctxclean — every goroutine-spawning
-//     layer of the live stack.
+//   - spawnjoin: shutdown wiring applies to every package that spawns
+//     long-lived goroutines in the live stack.
 //   - snapshotcopy: the snapshot roots are core.Table.Snapshot and the
 //     StateSnapshot methods on server, client, proxy; internal/state holds
 //     the snapshot types they fill.
@@ -58,8 +56,6 @@ func Scoped(analyzer, pkgPath string) bool {
 		return in("wire")
 	case "metricreg":
 		return true
-	case "ctxclean":
-		return in("server", "client", "proxy", "obs", "loadtl", "audit", "health", "cost", "transport", "state")
 	case "hotalloc":
 		return in("wire", "transport")
 	case "lockflow":

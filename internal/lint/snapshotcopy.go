@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // SnapshotCopy makes PR 9's share-no-memory discipline a compile-time fact:
@@ -21,24 +22,17 @@ import (
 // taint; that is exactly the deep-copy idiom the discipline requires, so
 // the analyzer is silent on correct code by construction.
 //
-// Known blind spots, documented in DESIGN.md §13: externally-typed
-// containers are opaque (a slice threaded through atomic.Pointer.Load comes
-// back clean), so the project idiom helpers that hand out live shards
-// (allShards) are hard-listed as live sources; closure captures are not
+// Named types from outside the module are opaque (time.Time holds a
+// *Location, yet is value-copied everywhere here) unless a type argument is
+// refish: an atomic.Pointer[map[VolumeID]*shard] field is live state, and a
+// method called on a tainted receiver of an external type (its Load) returns
+// that taint. Known blind spots, documented in DESIGN.md §13: values boxed in
+// interfaces (sync.Map entries) come back clean, and closure captures are not
 // tracked.
 var SnapshotCopy = &Analyzer{
 	Name:     "snapshotcopy",
 	Doc:      "snapshot roots must not return references to live maps/slices (share-no-memory)",
 	RunGraph: runSnapshotCopy,
-}
-
-// snapLiveSources names in-module helpers whose results point into live
-// state even though structural dataflow cannot see it (they read through
-// externally-typed atomics).
-var snapLiveSources = map[string]bool{
-	"allShards":     true,
-	"shardOf":       true,
-	"shardOfObject": true,
 }
 
 // isSnapshotRoot identifies the functions whose return values must share no
@@ -59,11 +53,10 @@ func isSnapshotRoot(n *FuncNode) bool {
 
 func runSnapshotCopy(p *GraphPass) {
 	sc := &snapCopy{
-		p:          p,
 		g:          p.Graph,
 		summaries:  make(map[*FuncNode]*snapSummary),
 		visiting:   make(map[*FuncNode]bool),
-		refishMemo: make(map[string]bool),
+		refishMemo: make(map[*types.Named]bool),
 	}
 	for _, n := range sc.g.Nodes {
 		if !isSnapshotRoot(n) {
@@ -73,17 +66,16 @@ func runSnapshotCopy(p *GraphPass) {
 		for idx, leak := range sum.leaks {
 			p.ReportNodef(n, leak.pos,
 				"snapshot root %s returns memory aliasing live %s (%s); deep-copy it — snapshots must share no memory with live state",
-				n.Name, sc.paramName(n, idx), leak.src)
+				n.Name, paramName(n, idx), leak.src)
 		}
 	}
 }
 
 type snapCopy struct {
-	p          *GraphPass
 	g          *Graph
 	summaries  map[*FuncNode]*snapSummary
 	visiting   map[*FuncNode]bool
-	refishMemo map[string]bool
+	refishMemo map[*types.Named]bool
 }
 
 // taintMask bit i set = may alias parameter i (0 = receiver for methods).
@@ -100,67 +92,70 @@ type snapSummary struct {
 	leaks map[int]*snapLeak
 }
 
-// paramName renders the leaked parameter for diagnostics.
-func (sc *snapCopy) paramName(n *FuncNode, idx int) string {
-	if n.Decl != nil && n.Decl.Recv != nil {
-		if idx == 0 {
-			r := n.Decl.Recv.List[0]
-			if len(r.Names) == 1 {
-				return "receiver " + r.Names[0].Name
-			}
-			return "receiver"
-		}
-		idx--
+// params lists a function's receiver (for methods) and parameters, in taint
+// bit order.
+func params(n *FuncNode) []*types.Var {
+	sig := n.Signature()
+	var out []*types.Var
+	if sig.Recv() != nil {
+		out = append(out, sig.Recv())
 	}
-	sig := sc.g.signature(n)
-	if idx < len(sig.params) && sig.params[idx].name != "" {
-		return "parameter " + sig.params[idx].name
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
 	}
-	return "a parameter"
+	return out
 }
 
-// refish reports whether a type can alias memory.
-func (sc *snapCopy) refish(t typeRef) bool {
-	switch t.Kind {
-	case refPointer, refSlice, refMap, refChan, refFunc:
-		return true
-	case refArray:
-		return t.Elem != nil && sc.refish(*t.Elem)
-	case refNamed, refStruct:
-		if t.Name == "" {
-			return false
-		}
-		key := t.Pkg + "." + t.Name
-		if v, ok := sc.refishMemo[key]; ok {
+// paramName renders the leaked parameter for diagnostics.
+func paramName(n *FuncNode, idx int) string {
+	v := params(n)[idx]
+	kind := "parameter "
+	if idx == 0 && n.Signature().Recv() != nil {
+		kind = "receiver "
+	}
+	if v.Name() == "" {
+		return kind + "(unnamed)"
+	}
+	return kind + v.Name()
+}
+
+// refish reports whether a value of type t can alias memory.
+func (sc *snapCopy) refish(t types.Type) bool {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		if v, ok := sc.refishMemo[t]; ok {
 			return v
 		}
-		sc.refishMemo[key] = false // cycle guard: recursive types resolve below
+		sc.refishMemo[t] = false // cycle guard: recursive types resolve below
 		res := false
-		u := t
-		if t.Kind == refNamed {
-			u = sc.g.underlying(t)
-		}
-		if u.Kind == refStruct {
-			if pi, st := sc.g.structOf(u); st != nil {
-				td := pi.types[u.Name]
-				for _, field := range st.Fields.List {
-					if sc.refish(sc.g.resolveTypeExpr(pi, td.file, field.Type)) {
-						res = true
-						break
-					}
-				}
+		if sc.g.inModule(t.Obj().Pkg()) {
+			res = sc.refish(t.Underlying())
+		} else {
+			for i := 0; i < t.TypeArgs().Len() && !res; i++ {
+				res = sc.refish(t.TypeArgs().At(i))
 			}
-		} else if u.Kind != refNamed && u.Kind != refStruct {
-			res = sc.refish(u)
 		}
-		sc.refishMemo[key] = res
+		sc.refishMemo[t] = res
 		return res
-	default:
-		// Basic, interface, external, unknown: err toward silence. External
-		// types (time.Time) are overwhelmingly value-copied here; treating
-		// them as aliasing would flag the cleanest code in the repo.
-		return false
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Array:
+		return sc.refish(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if sc.refish(t.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Tuple: // a multi-value call: taint goes to its first value
+		for i := 0; i < t.Len(); i++ {
+			if sc.refish(t.At(i).Type()) {
+				return true
+			}
+		}
 	}
+	// Basic and interface types: err toward silence.
+	return false
 }
 
 // summarize computes (and memoizes) a function's leak summary.
@@ -174,10 +169,9 @@ func (sc *snapCopy) summarize(fn *FuncNode) *snapSummary {
 	sc.visiting[fn] = true
 	tw := &taintWalker{
 		sc:   sc,
-		g:    sc.g,
-		pi:   sc.g.byPath[fn.Pkg.Path],
+		info: fn.Pkg.Info,
 		node: fn,
-		env:  map[string]taintVal{},
+		env:  map[types.Object]taintVal{},
 		sum:  &snapSummary{leaks: map[int]*snapLeak{}},
 	}
 	tw.seed()
@@ -195,66 +189,47 @@ func (sc *snapCopy) summarize(fn *FuncNode) *snapSummary {
 // --- the taint walker ---
 
 type taintVal struct {
-	t   typeRef
 	m   taintMask
 	src string
 }
 
 type taintWalker struct {
-	sc          *snapCopy
-	g           *Graph
-	pi          *pkgIndex
-	node        *FuncNode
-	env         map[string]taintVal
-	resultNames []string
-	sum         *snapSummary
+	sc      *snapCopy
+	info    *types.Info
+	node    *FuncNode
+	env     map[types.Object]taintVal
+	results *types.Tuple
+	sum     *snapSummary
 }
 
-// seed binds the receiver and parameters, tainting the refish ones.
+// seed taints the refish receiver and parameters.
 func (tw *taintWalker) seed() {
-	idx := 0
-	if tw.node.Decl != nil && tw.node.Decl.Recv != nil && len(tw.node.Decl.Recv.List) == 1 {
-		r := tw.node.Decl.Recv.List[0]
-		t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, r.Type)
-		if len(r.Names) == 1 {
-			v := taintVal{t: t, src: r.Names[0].Name}
-			if tw.sc.refish(t) {
-				v.m = 1 << 0
-			}
-			tw.env[r.Names[0].Name] = v
-		}
-		idx = 1
-	}
-	var ft *ast.FuncType
-	if tw.node.Decl != nil {
-		ft = tw.node.Decl.Type
-	} else {
-		ft = tw.node.Lit.Type
-	}
-	if ft.Params != nil {
-		for _, field := range ft.Params.List {
-			t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, field.Type)
-			for _, name := range field.Names {
-				v := taintVal{t: t, src: name.Name}
-				if tw.sc.refish(t) && idx < 64 {
-					v.m = 1 << idx
-				}
-				tw.env[name.Name] = v
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
+	for idx, v := range params(tw.node) {
+		if idx < 64 {
+			tw.bind(v, taintVal{m: 1 << idx, src: v.Name()})
 		}
 	}
-	if ft.Results != nil {
-		for _, field := range ft.Results.List {
-			t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, field.Type)
-			for _, name := range field.Names {
-				tw.env[name.Name] = taintVal{t: t}
-				tw.resultNames = append(tw.resultNames, name.Name)
-			}
-		}
+	tw.results = tw.node.Signature().Results()
+	for i := 0; i < tw.results.Len(); i++ {
+		tw.env[tw.results.At(i)] = taintVal{} // named results can be built up by stores
+	}
+}
+
+// bind records val for obj, dropping the taint when obj's type cannot alias.
+func (tw *taintWalker) bind(obj types.Object, val taintVal) {
+	if obj == nil {
+		return
+	}
+	if !tw.sc.refish(obj.Type()) {
+		val = taintVal{}
+	}
+	tw.env[obj] = val
+}
+
+// bindExpr binds an identifier on the left of an assignment or range.
+func (tw *taintWalker) bindExpr(e ast.Expr, val taintVal) {
+	if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+		tw.bind(tw.info.ObjectOf(id), val)
 	}
 }
 
@@ -276,28 +251,19 @@ func (tw *taintWalker) stmt(s ast.Stmt) {
 				if !ok {
 					continue
 				}
-				var declared typeRef
-				if vs.Type != nil {
-					declared = tw.g.resolveTypeExpr(tw.pi, tw.node.File, vs.Type)
-				}
 				for i, name := range vs.Names {
-					val := taintVal{t: declared}
+					var val taintVal
 					if i < len(vs.Values) {
 						val = tw.exprTaint(vs.Values[i])
-						if vs.Type != nil {
-							val.t = declared
-						}
 					}
-					if name.Name != "_" {
-						tw.env[name.Name] = val
-					}
+					tw.bindExpr(name, val)
 				}
 			}
 		}
 	case *ast.ReturnStmt:
 		if len(v.Results) == 0 {
-			for _, name := range tw.resultNames {
-				if val, ok := tw.env[name]; ok && val.m != 0 {
+			for i := 0; i < tw.results.Len(); i++ {
+				if val := tw.env[tw.results.At(i)]; val.m != 0 {
 					tw.leak(val.m, v.Pos(), val.src)
 				}
 			}
@@ -320,30 +286,11 @@ func (tw *taintWalker) stmt(s ast.Stmt) {
 		tw.stmt(v.Body)
 	case *ast.RangeStmt:
 		cont := tw.exprTaint(v.X)
-		ct := tw.g.underlying(cont.t.deref())
-		bind := func(e ast.Expr, t typeRef) {
-			id, ok := e.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return
-			}
-			val := taintVal{t: t, src: cont.src}
-			if cont.m != 0 && tw.sc.refish(t) {
-				val.m = cont.m
-			}
-			tw.env[id.Name] = val
-		}
 		if v.Key != nil {
-			switch ct.Kind {
-			case refMap:
-				if ct.Key != nil {
-					bind(v.Key, *ct.Key)
-				}
-			case refSlice, refArray:
-				bind(v.Key, typeRef{Kind: refBasic, Name: "int"})
-			}
+			tw.bindExpr(v.Key, cont)
 		}
-		if v.Value != nil && ct.Elem != nil {
-			bind(v.Value, *ct.Elem)
+		if v.Value != nil {
+			tw.bindExpr(v.Value, cont)
 		}
 		tw.stmt(v.Body)
 	case *ast.SwitchStmt:
@@ -394,52 +341,52 @@ func (tw *taintWalker) assign(as *ast.AssignStmt) {
 			vals = append(vals, tw.exprTaint(r))
 		}
 	} else if len(as.Rhs) == 1 {
-		// Multi-value form: taint flows only from resolved call summaries;
-		// comma-ok forms give (value, clean bool).
-		v := tw.exprTaint(as.Rhs[0])
-		vals = append(vals, v)
-		for i := 1; i < len(as.Lhs); i++ {
-			vals = append(vals, taintVal{t: typeRef{Kind: refBasic, Name: "bool"}})
-		}
+		// Multi-value form: the first value carries the taint; comma-ok
+		// forms give (value, clean bool).
+		vals = make([]taintVal, len(as.Lhs))
+		vals[0] = tw.exprTaint(as.Rhs[0])
 	}
 	for i, lhs := range as.Lhs {
 		if i >= len(vals) {
 			break
 		}
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
-				continue
-			}
-			tw.env[l.Name] = vals[i]
-		default:
-			// Store into a field/element: taint the local variable the chain
-			// is rooted at (building a result: out.Objects = t.live taints
-			// out). Stores rooted at a parameter mutate live state — not a
-			// snapshot-leak, ignored here.
-			if vals[i].m == 0 {
-				continue
-			}
-			if root := rootIdent(lhs); root != "" {
-				if cur, ok := tw.env[root]; ok {
-					cur.m |= vals[i].m
-					if cur.src == "" || cur.src == root {
-						cur.src = vals[i].src
-					}
-					tw.env[root] = cur
-				}
-			}
+		if _, ok := lhs.(*ast.Ident); ok {
+			tw.bindExpr(lhs, vals[i])
+			continue
+		}
+		// Store into a field/element: taint the local variable the chain is
+		// rooted at (building a result: out.Objects = t.live taints out).
+		// Stores rooted at a parameter mutate live state — not a
+		// snapshot-leak, ignored here.
+		if vals[i].m != 0 {
+			tw.taintRoot(lhs, vals[i])
 		}
 	}
 }
 
+// taintRoot adds val's taint to the variable an lvalue chain is rooted at.
+func (tw *taintWalker) taintRoot(lhs ast.Expr, val taintVal) {
+	root := rootIdent(lhs)
+	if root == nil {
+		return
+	}
+	obj := tw.info.ObjectOf(root)
+	if cur, ok := tw.env[obj]; ok {
+		cur.m |= val.m
+		if cur.src == "" || cur.src == root.Name {
+			cur.src = val.src
+		}
+		tw.env[obj] = cur
+	}
+}
+
 // rootIdent finds the base identifier of an lvalue chain (out.Objects[i] ->
-// "out").
-func rootIdent(e ast.Expr) string {
+// out).
+func rootIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch v := e.(type) {
 		case *ast.Ident:
-			return v.Name
+			return v
 		case *ast.SelectorExpr:
 			e = v.X
 		case *ast.IndexExpr:
@@ -449,256 +396,154 @@ func rootIdent(e ast.Expr) string {
 		case *ast.ParenExpr:
 			e = v.X
 		default:
-			return ""
+			return nil
 		}
 	}
 }
 
-// exprTaint computes an expression's type and taint.
+// exprTaint computes an expression's taint; a value whose type cannot alias
+// memory is clean whatever it was computed from.
 func (tw *taintWalker) exprTaint(e ast.Expr) taintVal {
+	if t := tw.info.TypeOf(e); t == nil || !tw.sc.refish(t) {
+		return taintVal{}
+	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		if val, ok := tw.env[v.Name]; ok {
-			return val
-		}
-		return taintVal{t: unknownRef}
+		return tw.env[tw.info.ObjectOf(v)]
 	case *ast.SelectorExpr:
-		if base, ok := v.X.(*ast.Ident); ok {
-			if _, shadowed := tw.env[base.Name]; !shadowed {
-				if importPathByName(tw.node.File, base.Name) != "" {
-					return taintVal{t: unknownRef} // package-level reference
-				}
-			}
+		if s, ok := tw.info.Selections[v]; ok && s.Kind() == types.FieldVal {
+			bv := tw.exprTaint(v.X)
+			return taintVal{m: bv.m, src: bv.src + "." + v.Sel.Name}
 		}
-		bv := tw.exprTaint(v.X)
-		ft, ok := tw.g.fieldType(bv.t, v.Sel.Name)
-		if !ok {
-			return taintVal{t: unknownRef}
-		}
-		out := taintVal{t: ft, src: bv.src + "." + v.Sel.Name}
-		if bv.m != 0 && tw.sc.refish(ft) {
-			out.m = bv.m
-		}
-		return out
+		return taintVal{} // a package-level reference or a method value
 	case *ast.CallExpr:
 		return tw.callTaint(v)
-	case *ast.UnaryExpr:
-		switch v.Op {
-		case token.AND:
-			inner := tw.exprTaint(v.X)
-			t := inner.t
-			return taintVal{t: typeRef{Kind: refPointer, Elem: &t}, m: inner.m, src: inner.src}
-		case token.ARROW:
-			inner := tw.exprTaint(v.X)
-			ct := tw.g.underlying(inner.t.deref())
-			out := taintVal{t: unknownRef, src: inner.src}
-			if ct.Kind == refChan && ct.Elem != nil {
-				out.t = *ct.Elem
-				if inner.m != 0 && tw.sc.refish(out.t) {
-					out.m = inner.m
-				}
-			}
-			return out
-		}
-		return tw.exprTaint(v.X)
-	case *ast.StarExpr:
-		inner := tw.exprTaint(v.X)
-		out := taintVal{t: unknownRef, m: inner.m, src: inner.src}
-		if inner.t.Kind == refPointer && inner.t.Elem != nil {
-			out.t = *inner.t.Elem
-		}
-		return out
-	case *ast.IndexExpr:
-		base := tw.exprTaint(v.X)
-		ct := tw.g.underlying(base.t.deref())
-		out := taintVal{t: unknownRef, src: base.src}
-		if (ct.Kind == refMap || ct.Kind == refSlice || ct.Kind == refArray) && ct.Elem != nil {
-			out.t = *ct.Elem
-			if base.m != 0 && tw.sc.refish(out.t) {
-				out.m = base.m
-			}
-		}
-		return out
-	case *ast.SliceExpr:
-		return tw.exprTaint(v.X) // a reslice aliases its operand
+	case *ast.UnaryExpr, *ast.StarExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.TypeAssertExpr, *ast.ParenExpr:
+		// &x, <-ch, *p, m[k], s[i:j] (a reslice aliases its operand), x.(T).
+		return tw.exprTaint(operand(v))
 	case *ast.CompositeLit:
-		out := taintVal{t: unknownRef}
-		if v.Type != nil {
-			out.t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, v.Type)
-		}
+		var out taintVal
 		for _, el := range v.Elts {
-			val := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				val = kv.Value
+				el = kv.Value
 			}
-			ev := tw.exprTaint(val)
-			if ev.m != 0 {
-				out.m |= ev.m
-				if out.src == "" {
-					out.src = ev.src
-				}
-			}
+			out = union(out, tw.exprTaint(el))
 		}
 		return out
-	case *ast.TypeAssertExpr:
-		inner := tw.exprTaint(v.X)
-		out := taintVal{t: unknownRef, m: inner.m, src: inner.src}
-		if v.Type != nil {
-			out.t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, v.Type)
-		}
-		return out
-	case *ast.ParenExpr:
-		return tw.exprTaint(v.X)
-	case *ast.BinaryExpr:
-		return taintVal{t: typeRef{Kind: refBasic}}
-	case *ast.FuncLit:
-		return taintVal{t: typeRef{Kind: refFunc}} // closure captures untracked
-	case *ast.BasicLit:
-		return taintVal{t: typeRef{Kind: refBasic}}
 	}
-	return taintVal{t: unknownRef}
+	// Binary expressions, literals, and closures (captures untracked).
+	return taintVal{}
 }
 
-// callTaint propagates taint through builtins, conversions, and resolved
-// in-module call summaries.
-func (tw *taintWalker) callTaint(call *ast.CallExpr) taintVal {
-	fun := call.Fun
-	if pe, ok := fun.(*ast.ParenExpr); ok {
-		fun = pe.X
+// operand returns the expression a unary-shaped expression reads through.
+func operand(e ast.Expr) ast.Expr {
+	switch v := e.(type) {
+	case *ast.UnaryExpr:
+		return v.X
+	case *ast.StarExpr:
+		return v.X
+	case *ast.IndexExpr:
+		return v.X
+	case *ast.SliceExpr:
+		return v.X
+	case *ast.TypeAssertExpr:
+		return v.X
+	case *ast.ParenExpr:
+		return v.X
 	}
-	if id, ok := fun.(*ast.Ident); ok {
-		switch id.Name {
-		case "make", "new", "len", "cap", "min", "max", "delete", "close", "recover":
-			t := unknownRef
-			if id.Name == "make" && len(call.Args) > 0 {
-				t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, call.Args[0])
-			}
-			if id.Name == "len" || id.Name == "cap" {
-				t = typeRef{Kind: refBasic, Name: "int"}
-			}
-			return taintVal{t: t}
+	return nil
+}
+
+// union merges b's taint into a, keeping a's source description if it has
+// one.
+func union(a, b taintVal) taintVal {
+	if b.m != 0 {
+		a.m |= b.m
+		if a.src == "" {
+			a.src = b.src
+		}
+	}
+	return a
+}
+
+// callTaint propagates taint through builtins, conversions, resolved
+// in-module call summaries, and methods of external types.
+func (tw *taintWalker) callTaint(call *ast.CallExpr) taintVal {
+	fun := ast.Unparen(call.Fun)
+	tv := tw.info.Types[fun]
+	switch {
+	case tv.IsBuiltin():
+		switch exprString(fun) {
 		case "append":
-			out := taintVal{t: unknownRef}
-			for i, a := range call.Args {
-				av := tw.exprTaint(a)
-				if i == 0 {
-					out.t = av.t
-				}
-				if av.m != 0 {
-					out.m |= av.m
-					if out.src == "" {
-						out.src = av.src
-					}
-				}
+			var out taintVal
+			for _, a := range call.Args {
+				out = union(out, tw.exprTaint(a))
 			}
 			return out
 		case "copy":
 			// copy(dst, src) aliases element memory when elements are refish.
 			if len(call.Args) == 2 {
-				src := tw.exprTaint(call.Args[1])
-				dt := tw.g.underlying(tw.exprTaint(call.Args[0]).t.deref())
-				if src.m != 0 && dt.Kind == refSlice && dt.Elem != nil && tw.sc.refish(*dt.Elem) {
-					if root := rootIdent(call.Args[0]); root != "" {
-						if cur, ok := tw.env[root]; ok {
-							cur.m |= src.m
-							if cur.src == "" {
-								cur.src = src.src
-							}
-							tw.env[root] = cur
-						}
+				if src := tw.exprTaint(call.Args[1]); src.m != 0 {
+					if dst, ok := tw.info.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok && tw.sc.refish(dst.Elem()) {
+						tw.taintRoot(call.Args[0], src)
 					}
 				}
 			}
-			return taintVal{t: typeRef{Kind: refBasic, Name: "int"}}
 		}
-		// Conversion to a known type keeps aliasing for refish targets.
-		if t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, id); t.Kind != refUnknown {
-			inner := taintVal{t: t}
-			if len(call.Args) == 1 {
-				av := tw.exprTaint(call.Args[0])
-				if av.m != 0 && tw.sc.refish(t) {
-					inner.m = av.m
-					inner.src = av.src
-				}
-			}
-			return inner
-		}
-	}
-	// []byte(...) / named-type conversions via non-ident type exprs.
-	switch fun.(type) {
-	case *ast.ArrayType, *ast.MapType, *ast.StarExpr, *ast.ChanType:
-		t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, fun.(ast.Expr))
-		out := taintVal{t: t}
+		return taintVal{}
+	case tv.IsType():
+		// A conversion keeps aliasing for refish targets.
 		if len(call.Args) == 1 {
-			av := tw.exprTaint(call.Args[0])
-			if av.m != 0 && tw.sc.refish(t) {
-				out.m = av.m
-				out.src = av.src
-			}
+			return tw.exprTaint(call.Args[0])
 		}
-		return out
+		return taintVal{}
 	}
 
 	// Resolved in-module callees: apply leak summaries.
-	for _, edge := range tw.g.EdgesAt(call) {
+	for _, edge := range tw.sc.g.EdgesAt(call) {
 		if edge.Callee == nil || edge.OverApprox || edge.Kind != EdgeCall {
 			continue
 		}
 		callee := edge.Callee
-		sum := tw.sc.summarize(callee)
-		results := tw.g.signature(callee).results
-		rt := unknownRef
-		if len(results) > 0 {
-			rt = results[0]
-		}
-		out := taintVal{t: rt}
-
 		// Map callee parameter indices to argument taints.
 		argTaint := func(idx int) taintVal {
-			if callee.RecvType != "" {
+			if callee.Signature().Recv() != nil {
 				if idx == 0 {
 					if sel, ok := fun.(*ast.SelectorExpr); ok {
 						return tw.exprTaint(sel.X)
 					}
-					return taintVal{t: unknownRef}
+					return taintVal{}
 				}
 				idx--
 			}
 			if idx < len(call.Args) {
 				return tw.exprTaint(call.Args[idx])
 			}
-			return taintVal{t: unknownRef}
+			return taintVal{}
 		}
-		for idx := range sum.leaks {
-			av := argTaint(idx)
-			if av.m != 0 {
+		var out taintVal
+		for idx := range tw.sc.summarize(callee).leaks {
+			if av := argTaint(idx); av.m != 0 {
 				out.m |= av.m
 				if out.src == "" {
 					out.src = "result of " + callee.Name + " aliasing " + av.src
 				}
 			}
 		}
-		// Project idiom: live-source helpers return pointers into live
-		// state regardless of what structural dataflow sees.
-		if callee.Decl != nil && snapLiveSources[callee.Decl.Name.Name] {
-			av := argTaint(0)
-			if av.m != 0 {
-				out.m |= av.m
-				out.src = "result of " + callee.Name + " (live-source helper)"
-			}
-		}
 		return out
 	}
 
-	// Unresolved or external call: clean result (documented blind spot),
-	// but still a live source if it matches the idiom list by name.
-	if snapLiveSources[lastSelector(fun)] {
-		if sel, ok := fun.(*ast.SelectorExpr); ok {
-			av := tw.exprTaint(sel.X)
-			if av.m != 0 {
-				return taintVal{t: unknownRef, m: av.m, src: "result of " + lastSelector(fun) + " (live-source helper)"}
+	// A method of a type outside the module returns what its receiver holds
+	// (atomic.Pointer.Load hands out the live pointer).
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if s, ok := tw.info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+			if fn := s.Obj().(*types.Func); !isInterfaceMethod(fn) && !tw.sc.g.inModule(fn.Pkg()) {
+				recv := tw.exprTaint(sel.X)
+				return taintVal{m: recv.m, src: "result of " + recv.src + "." + fn.Name()}
 			}
 		}
 	}
-	return taintVal{t: unknownRef}
+	// Unresolved or external function call: clean result (documented blind
+	// spot).
+	return taintVal{}
 }

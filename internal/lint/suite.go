@@ -29,8 +29,10 @@ type SuiteResult struct {
 	Diagnostics []Diagnostic
 	Timings     []AnalyzerTiming
 	// Graph is the whole-module call graph, built when any interprocedural
-	// analyzer ran (for cmd/leasevet -graph); nil otherwise.
-	Graph *Graph
+	// analyzer ran (for cmd/leasevet -graph); nil otherwise. GraphTime is
+	// what building it took.
+	Graph     *Graph
+	GraphTime time.Duration
 }
 
 // RunSuite applies the analyzers to the packages: single-function analyzers
@@ -53,7 +55,9 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts SuiteOptions) *SuiteR
 		}
 	}
 	if needGraph {
+		start := time.Now()
 		res.Graph = BuildGraph(pkgs)
+		res.GraphTime = time.Since(start)
 	}
 
 	for _, a := range analyzers {
@@ -78,7 +82,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts SuiteOptions) *SuiteR
 				if opts.Scoped && !Scoped(a.Name, pkg.Path) {
 					continue
 				}
-				pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files}
+				pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files, Info: pkg.Info}
 				a.Run(pass)
 				diags = append(diags, pass.diags...)
 			}

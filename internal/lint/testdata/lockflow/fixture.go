@@ -51,3 +51,51 @@ func (s *shard) tryNotify() {
 func (s *shard) Unlocked() {
 	s.notify()
 }
+
+// The cases below block in the locked section itself.
+
+// conn is transport-shaped: its Send runs outside the module, so the call is
+// judged by name.
+type conn interface {
+	Send(v int)
+}
+
+// BadSendUnderLock performs a blocking channel send under a shard mutex.
+func (s *shard) BadSendUnderLock(ch chan int) {
+	s.mu.Lock()
+	ch <- 1 // want `blocking channel send while s\.mu is held`
+	s.mu.Unlock()
+}
+
+// GoodSendOutsideLock collects under the lock, sends outside it.
+func (s *shard) GoodSendOutsideLock(ch chan int) {
+	s.mu.Lock()
+	v := 1
+	s.mu.Unlock()
+	ch <- v
+}
+
+// GoodNonBlockingSend uses a select with default, which cannot block.
+func (s *shard) GoodNonBlockingSend(ch chan int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case ch <- 1:
+	default:
+	}
+}
+
+// BadTransportUnderLock calls the transport while holding a shard mutex.
+func (s *shard) BadTransportUnderLock(c conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.Send(1) // want `transport call c\.Send while s\.mu is held`
+}
+
+// GoodTransportOutsideLock snapshots under the lock and sends after.
+func (s *shard) GoodTransportOutsideLock(c conn) {
+	s.mu.Lock()
+	v := 1
+	s.mu.Unlock()
+	c.Send(v)
+}

@@ -1,8 +1,7 @@
 package fixture
 
 // The fixture mirrors the server's shapes: per-volume shards with a `mu`
-// field, an allShards() helper that returns them in sorted volume order,
-// and connections with Send methods.
+// field and an allShards() helper that returns them in sorted volume order.
 
 type shard struct{ mu mutex }
 
@@ -12,10 +11,6 @@ func (mutex) Lock()    {}
 func (mutex) Unlock()  {}
 func (mutex) RLock()   {}
 func (mutex) RUnlock() {}
-
-type conn struct{}
-
-func (conn) Send(v int) {}
 
 type server struct {
 	shards map[string]*shard
@@ -72,44 +67,4 @@ func (s *server) goodRangeHelperVar() {
 		sh.mu.Lock()
 		sh.mu.Unlock()
 	}
-}
-
-// badSendUnderLock performs a blocking channel send under a shard mutex.
-func (s *server) badSendUnderLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	ch <- 1 // want `blocking channel send while sh\.mu is held`
-	sh.mu.Unlock()
-}
-
-// goodSendOutsideLock collects under the lock, sends outside it.
-func (s *server) goodSendOutsideLock(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	v := 1
-	sh.mu.Unlock()
-	ch <- v
-}
-
-// goodNonBlockingSend uses a select with default, which cannot block.
-func (s *server) goodNonBlockingSend(sh *shard, ch chan int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	select {
-	case ch <- 1:
-	default:
-	}
-}
-
-// badTransportUnderLock calls the transport while holding a shard mutex.
-func (s *server) badTransportUnderLock(sh *shard, c conn) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.Send(1) // want `transport call c\.Send while sh\.mu is held`
-}
-
-// goodTransportOutsideLock snapshots under the lock and sends after.
-func (s *server) goodTransportOutsideLock(sh *shard, c conn) {
-	sh.mu.Lock()
-	v := 1
-	sh.mu.Unlock()
-	c.Send(v)
 }

@@ -4,40 +4,27 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 )
 
-// runFixture parses testdata/<name> as one package, runs the analyzer over
-// it (with //lint:allow filtering, so fixtures can exercise the escape
-// hatch), and matches the findings against `// want "regexp"` comments:
-// every diagnostic must match a want on its line, and every want must be
-// matched. Multiple expectations on one line are written as
-// `// want "re1" "re2"`.
+// runFixture loads testdata/<name> as one package through Load (so it is
+// type-checked the way the repository is), runs the analyzer over it (with
+// //lint:allow filtering, so fixtures can exercise the escape hatch), and
+// matches the findings against `// want "regexp"` comments: every
+// diagnostic must match a want on its line, and every want must be matched.
+// Multiple expectations on one line are written as `// want "re1" "re2"`.
 func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	dir := filepath.Join("testdata", name)
-	entries, err := os.ReadDir(dir)
+	pkgs, err := Load(".", []string{"./" + filepath.Join("testdata", name)})
 	if err != nil {
-		t.Fatalf("read fixture dir: %v", err)
+		t.Fatalf("load fixture: %v", err)
 	}
-	pkg := &Package{Path: "fixture/" + name, Fset: token.NewFileSet()}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(pkg.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse fixture %s: %v", e.Name(), err)
-		}
-		pkg.Files = append(pkg.Files, f)
+	if len(pkgs) != 1 || len(pkgs[0].Files) == 0 {
+		t.Fatalf("fixture %s: loaded %d packages, want one with Go files", name, len(pkgs))
 	}
-	if len(pkg.Files) == 0 {
-		t.Fatalf("fixture %s has no Go files", name)
-	}
+	pkg := pkgs[0]
 
 	wants := collectWants(t, pkg)
 	for _, d := range RunAnalyzer(a, pkg) {
@@ -104,17 +91,28 @@ func collectWants(t *testing.T, pkg *Package) map[fileLine][]*want {
 	return out
 }
 
-// mustParsePackage builds an in-memory package from source snippets, for
-// tests that don't warrant a testdata file.
+// mustParsePackage builds an in-memory package from source snippets and
+// type-checks it, for tests that don't warrant a testdata file. Standard
+// library imports resolve through their export data.
 func mustParsePackage(t *testing.T, path string, sources ...string) *Package {
 	t.Helper()
-	pkg := &Package{Path: path, Fset: token.NewFileSet()}
+	return mustCheckPackage(t, newChecker(token.NewFileSet(), nil), path, sources...)
+}
+
+// mustCheckPackage is mustParsePackage on a shared checker, so packages
+// checked earlier on c can be imported.
+func mustCheckPackage(t *testing.T, c *checker, path string, sources ...string) *Package {
+	t.Helper()
+	pkg := &Package{Path: path, Fset: c.fset}
 	for i, src := range sources {
-		f, err := parser.ParseFile(pkg.Fset, fmt.Sprintf("src%d.go", i), src, parser.ParseComments)
+		f, err := parser.ParseFile(c.fset, fmt.Sprintf("%s/src%d.go", path, i), src, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
 		pkg.Files = append(pkg.Files, f)
+	}
+	if err := c.check(pkg); err != nil {
+		t.Fatal(err)
 	}
 	return pkg
 }

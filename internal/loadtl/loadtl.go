@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -95,7 +96,7 @@ func New(node string, window int, now func() time.Time) *Timeline {
 		window = 2
 	}
 	if now == nil {
-		now = time.Now
+		now = clock.Real{}.Now
 	}
 	t := &Timeline{node: node, now: now, slots: make([]*slot, window)}
 	for i := range t.slots {

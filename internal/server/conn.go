@@ -251,7 +251,9 @@ func (s *Server) dispatch(cc *clientConn, m wire.Message) error {
 		return s.handleAckInvalidate(cc, v)
 	case wire.WriteReq:
 		// Writes block on acknowledgments (possibly from this very
-		// connection), so they must not occupy the reader goroutine.
+		// connection), so they must not occupy the reader goroutine. The
+		// reader holds a wg slot, so this Add cannot race Close's Wait.
+		s.wg.Add(1)
 		go s.handleWriteReq(cc, v)
 		return nil
 	case wire.Hello:
@@ -273,7 +275,9 @@ func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 	sh.mu.Lock()
 	if guard, busy := sh.writing[req.Object]; busy {
 		sh.mu.Unlock()
+		s.wg.Add(1)
 		go func() {
+			defer s.wg.Done()
 			select {
 			case <-guard:
 				_ = s.handleReqObjLease(cc, req)
@@ -331,7 +335,9 @@ func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 	sh.mu.Lock()
 	if chans := sh.pendingAcksLocked(cc.id); len(chans) > 0 {
 		sh.mu.Unlock()
+		s.wg.Add(1)
 		go func() {
+			defer s.wg.Done()
 			for _, ch := range chans {
 				select {
 				case <-ch:
@@ -405,7 +411,9 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 	for _, h := range req.Held {
 		if guard, busy := sh.writing[h.Object]; busy {
 			sh.mu.Unlock()
+			s.wg.Add(1)
 			go func() {
+				defer s.wg.Done()
 				select {
 				case <-guard:
 					_ = s.handleRenewObjLeases(cc, req)
@@ -530,6 +538,7 @@ func (s *Server) completeWriteAcks(client core.ClientID, objects []core.ObjectID
 // the request's trace context through the write and echoing it in the
 // reply.
 func (s *Server) handleWriteReq(cc *clientConn, req wire.WriteReq) {
+	defer s.wg.Done()
 	version, waited, err := s.WriteTraced(req.Object, req.Data, req.Trace)
 	if err != nil {
 		_ = s.sendErr(cc, req.Seq, err)
