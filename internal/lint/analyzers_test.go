@@ -21,6 +21,10 @@ func TestLockFlowFixture(t *testing.T) { runFixture(t, LockFlow, "lockflow") }
 
 func TestSpawnJoinFixture(t *testing.T) { runFixture(t, SpawnJoin, "spawnjoin") }
 
+// TestCtxCleanFixture runs spawnjoin over the cases of the ctxclean analyzer
+// it replaced: loops in the spawned body itself.
+func TestCtxCleanFixture(t *testing.T) { runFixture(t, SpawnJoin, "ctxclean") }
+
 func TestSnapshotCopyFixture(t *testing.T) { runFixture(t, SnapshotCopy, "snapshotcopy") }
 
 // TestClockCheckRenamedImport verifies the analyzer follows a renamed time

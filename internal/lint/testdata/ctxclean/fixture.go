@@ -1,3 +1,7 @@
+// Package fixture holds the cases of the deleted ctxclean analyzer, which
+// spawnjoin subsumes: a goroutine whose spawned body itself loops forever on
+// blocking channel operations must observe a shutdown signal. They are run
+// through spawnjoin, so every construct ctxclean flagged is still flagged.
 package fixture
 
 type server struct {
@@ -7,10 +11,10 @@ type server struct {
 }
 
 func (s *server) start() {
-	go s.badLoop() // want `without observing a shutdown signal`
+	go s.badLoop() // want `goroutine .*badLoop loops forever on blocking channel operations \(in .*badLoop\) with no reachable shutdown edge`
 	go s.goodLoop()
 	go s.boundedLoop()
-	go func() { // want `goroutine literal loops on blocking`
+	go func() { // want `goroutine .*start\.func loops forever on blocking channel operations`
 		for {
 			<-s.ch
 		}
@@ -56,13 +60,12 @@ func (s *server) boundedLoop() {
 	}
 }
 
-type worker struct {
+type ctxWorker struct {
 	in chan int
 }
 
-// ctxStyle watches a context; the received Done() counts as a shutdown
-// signal.
-func (w *worker) run(ctx interface{ Done() <-chan struct{} }) {
+// run watches a context; the received Done() counts as a shutdown signal.
+func (w *ctxWorker) run(ctx interface{ Done() <-chan struct{} }) {
 	go func() {
 		for {
 			select {
